@@ -134,12 +134,6 @@ class ClueSystem:
             config=self.config.engine,
             reference=self.pipeline.trie_stage.table.source,
         )
-        # ONRTC + even partitioning produce pairwise-disjoint chip tables
-        # (boundary-spanning entries are exact replicas); certify that so
-        # the engine's fused loop can take its O(1) DRed path.  The
-        # certificate is content-addressed (table ids + mutation counters)
-        # and self-invalidates on the first pipeline update.
-        self.engine.mark_tables_disjoint()
         # Share the engine's DRed banks with the update pipeline so table
         # changes invalidate live cached entries.
         self.pipeline.dred_stage.caches = [
@@ -463,9 +457,6 @@ class ClueSystem:
         self.partition_result = new_result
         self.index = new_index
         self.partition_to_chip = new_mapping
-        # Freshly re-partitioned disjoint content: renew the certificate
-        # (load_routes swapped the tables, invalidating the old one).
-        self.engine.mark_tables_disjoint()
         return RebalanceReport(
             moved_entries=moved,
             flushed_dred_entries=flushed,

@@ -177,9 +177,6 @@ def build_clue_engine(
         config=config,
         reference=reference,
     )
-    # ONRTC output is pairwise disjoint (boundary-spanning entries are
-    # exact replicas), so certify it for the engine's O(1) DRed path.
-    engine.mark_tables_disjoint()
     return BuiltEngine(
         engine=engine,
         scheme=engine.scheme,

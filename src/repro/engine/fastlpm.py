@@ -94,14 +94,10 @@ class FastLpmTable:
         self._trie = BinaryTrie.from_routes(routes)
         self._hops: Dict[Prefix, int] = self._trie.as_dict()
         self._l1: List[object] = []
-        #: Repaint bookkeeping (exposed for benches and DESIGN.md §10).
+        #: Repaint bookkeeping (pinned by tests/engine/test_fastlpm.py, see
+        #: DESIGN.md §10.1).
         self.rebuilds = 0
         self.repaints = 0
-        #: Content-change counter.  Certificates about table content (the
-        #: engine's disjointness token, see
-        #: :meth:`LookupEngine.mark_tables_disjoint`) record this value and
-        #: self-invalidate when it moves.
-        self.mutations = 0
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -134,7 +130,6 @@ class FastLpmTable:
         """Insert or overwrite a route; repaints only its region."""
         is_new = self._trie.insert(prefix, next_hop)
         self._hops[prefix] = next_hop
-        self.mutations += 1
         self._repaint(prefix)
         return is_new
 
@@ -143,7 +138,6 @@ class FastLpmTable:
         if not self._trie.delete(prefix):
             return False
         del self._hops[prefix]
-        self.mutations += 1
         self._repaint(prefix)
         return True
 

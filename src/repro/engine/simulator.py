@@ -172,30 +172,6 @@ class LookupEngine:
         #: :class:`repro.faults.injector.FaultInjector` — anything with a
         #: ``tick(cycle)`` method fits).
         self.fault_injector: Optional[object] = None
-        #: Disjointness certificate (see :meth:`mark_tables_disjoint`).
-        self._disjoint_token: Optional[tuple] = None
-
-    def mark_tables_disjoint(self) -> None:
-        """Certify that the chips' table entries are pairwise disjoint.
-
-        CLUE's builder knows this by construction: ONRTC compression emits
-        non-overlapping entries (plus exact replicas of boundary-spanning
-        ones), and even partitioning only distributes them.  Under the
-        certificate, at most one table entry — and therefore at most one
-        DRed entry — can match any address, which lets the fused loop
-        answer DRed lookups with a single hash probe instead of an LPM
-        scan (see :meth:`_run_turbo`).
-
-        The certificate is content-addressed: it records each table's
-        identity and mutation counter, so any table reload
-        (:meth:`ChipState.load_routes`) or in-place route update silently
-        invalidates it and the engine falls back to the general LPM scan.
-        Callers that restore the invariant may simply mark again.
-        """
-        self._disjoint_token = tuple(
-            (id(chip.table), getattr(chip.table, "mutations", -1))
-            for chip in self.chips
-        )
 
     # ------------------------------------------------------------------
     # Dispatch (Figure 1, steps II-V)
@@ -409,7 +385,7 @@ class LookupEngine:
           policy with nothing watching individual cycles.  It inlines the
           stride-table lookup, dispatch rules and DRed maintenance into a
           single loop body and produces byte-identical statistics and
-          engine state (the bench and the determinism pin test assert
+          engine state (``tests/engine/test_cycle_skip.py`` asserts
           fingerprint equality against the reference path).
         """
         if (
@@ -581,7 +557,8 @@ class LookupEngine:
         * dispatch rules (a)/(b)/(c) and the idlest-queue scan;
         * CLUE's ``on_main_hit`` DRed maintenance, with the pure-recency
           refresh special-cased to an ``OrderedDict.move_to_end``;
-        * the DRed LPM probe over the occupied-length index;
+        * the DRed lookup — the same probe-plan scan over the occupied
+          lengths that :meth:`DredCache.lookup` runs in the reference loop;
         * the reorder buffer's in-order fast path.
 
         Scalar statistics accumulate in locals and are flushed back to
@@ -591,8 +568,8 @@ class LookupEngine:
         observer, no fault injector, all chips alive), which is what makes
         the local accumulation and the one-time structure bindings below
         safe.  Equivalence with the reference loop is enforced by the
-        fingerprint assertions in ``benchmarks/bench_engine.py`` and the
-        determinism pin test.
+        fingerprint-parity and golden-pin tests in
+        ``tests/engine/test_cycle_skip.py``.
         """
         config = self.config
         stats = self.stats
@@ -621,10 +598,6 @@ class LookupEngine:
         next_address = iter(addresses).__next__
         rate = config.arrivals_per_cycle
         rate_is_integral = float(rate).is_integer()
-        # Figure 15's line rate (one packet per clock) admits a simpler
-        # arrival step: exactly one arrival per cycle while the stream
-        # lasts, no credit arithmetic (credit provably stays at 0.0).
-        rate_is_one = rate == 1.0 and self._arrival_credit == 0.0
         lookup_cycles = config.lookup_cycles
         qcap = config.queue_capacity
         max_attempts = config.max_dred_attempts
@@ -682,28 +655,6 @@ class LookupEngine:
         enq = [queue.total_enqueued for queue in queues]
         qpeak = [queue.peak_occupancy for queue in queues]
 
-        # O(1) DRed path under the builder's disjointness certificate (see
-        # mark_tables_disjoint): if the certificate still matches the live
-        # tables AND every cached prefix is still a live MAIN entry
-        # somewhere, then at most one prefix can match any address — the
-        # home chip's unique table match — so the DRed LPM scan collapses
-        # to one stride descent plus one dict probe.  The provenance sweep
-        # below guards against stale cache entries surviving a mark;
-        # entries inserted *during* the run come from live tables, so the
-        # property is preserved for the whole call.
-        use_direct_dred = self._disjoint_token == tuple(
-            (id(chip.table), chip.table.mutations) for chip in chips
-        )
-        if use_direct_dred:
-            live = set()
-            for hop_map in hops:
-                live.update(hop_map)
-            use_direct_dred = all(
-                prefix in live
-                for entries in dred_entries
-                for prefix in entries
-            )
-
         reorder = self.reorder
         rb_pending = reorder._pending
         rb_pending_pop = rb_pending.pop
@@ -743,116 +694,40 @@ class LookupEngine:
                 # Step I: arrivals for this cycle.
                 arrived = 0
                 dispatched = 0
-                if rate_is_one:
-                    # Line rate: exactly one arrival while the stream
-                    # lasts, no credit arithmetic.  Once the stream is
-                    # exhausted the reference loop still accrues credit
-                    # every cycle (it just stops consuming it), and that
-                    # carry-over feeds the next run() call's first burst.
-                    if injected >= packet_count:
-                        credit += 1.0
+                credit += rate
+                while credit >= 1.0 and injected < packet_count:
+                    credit -= 1.0
+                    address = next_address()
+                    home = home_l1[address >> 16]
+                    if home < 0:
+                        home = home_of(address)
+                    if free_packets:
+                        packet = free_pop()
+                        packet.tag = next_tag
+                        packet.address = address
+                        packet.home = home
+                        packet.arrival_cycle = cycle
+                        packet.dred_attempts = 0
                     else:
-                        address = next_address()
-                        home = home_l1[address >> 16]
-                        if home < 0:
-                            home = home_of(address)
-                        if free_packets:
-                            packet = free_pop()
-                            packet.tag = next_tag
-                            packet.address = address
-                            packet.home = home
-                            packet.arrival_cycle = cycle
-                            packet.dred_attempts = 0
-                        else:
-                            packet = make_packet(
-                                next_tag, address, home, cycle
-                            )
-                        next_tag += 1
-                        injected += 1
-                        arrived = 1
-                        arrivals += 1
-                        if pending:
-                            # FIFO fairness: once anything waits, arrivals
-                            # queue behind it (head-of-line discipline).
-                            pending_append(packet)
-                        else:
-                            depth = depths[home]
-                            if depth < qcap:
-                                # Rule (a) direct: skip the backlog.
-                                queue_items[home].append(
-                                    (packet, kind_main)
-                                )
-                                enq[home] += 1
-                                depth += 1
-                                depths[home] = depth
-                                if depth > qpeak[home]:
-                                    qpeak[home] = depth
-                                dispatched = 1
-                            else:
-                                # Rule (b) at arrival time: with an empty
-                                # backlog the drain loop would divert
-                                # this packet this very cycle (a fresh
-                                # arrival can never trip the livelock
-                                # guard), so skip the round-trip.
-                                best = -1
-                                best_depth = qcap
-                                for other in chip_range:
-                                    if other == home:
-                                        continue
-                                    depth = depths[other]
-                                    if depth < best_depth:
-                                        best = other
-                                        best_depth = depth
-                                if best < 0:
-                                    pending_append(packet)
-                                else:
-                                    queue_items[best].append(
-                                        (packet, kind_dred)
-                                    )
-                                    enq[best] += 1
-                                    depth = best_depth + 1
-                                    depths[best] = depth
-                                    if depth > qpeak[best]:
-                                        qpeak[best] = depth
-                                    diverted += 1
-                                    dispatched = 1
-                else:
-                    credit += rate
-                    while credit >= 1.0 and injected < packet_count:
-                        credit -= 1.0
-                        address = next_address()
-                        home = home_l1[address >> 16]
-                        if home < 0:
-                            home = home_of(address)
-                        if free_packets:
-                            packet = free_pop()
-                            packet.tag = next_tag
-                            packet.address = address
-                            packet.home = home
-                            packet.arrival_cycle = cycle
-                            packet.dred_attempts = 0
-                        else:
-                            packet = make_packet(
-                                next_tag, address, home, cycle
-                            )
-                        next_tag += 1
-                        injected += 1
-                        arrived += 1
-                        arrivals += 1
-                        if pending:
-                            pending_append(packet)
-                            continue
-                        depth = depths[home]
-                        if depth < qcap:
-                            queue_items[home].append((packet, kind_main))
-                            enq[home] += 1
-                            depth += 1
-                            depths[home] = depth
-                            if depth > qpeak[home]:
-                                qpeak[home] = depth
-                            dispatched += 1
-                        else:
-                            pending_append(packet)
+                        packet = make_packet(next_tag, address, home, cycle)
+                    next_tag += 1
+                    injected += 1
+                    arrived += 1
+                    arrivals += 1
+                    if pending:
+                        pending_append(packet)
+                        continue
+                    depth = depths[home]
+                    if depth < qcap:
+                        queue_items[home].append((packet, kind_main))
+                        enq[home] += 1
+                        depth += 1
+                        depths[home] = depth
+                        if depth > qpeak[home]:
+                            qpeak[home] = depth
+                        dispatched += 1
+                    else:
+                        pending_append(packet)
                 # Steps II-IV: dispatch the backlog in FIFO order until the
                 # head blocks (rules (a) and (b) inlined).
                 while pending:
@@ -991,30 +866,15 @@ class LookupEngine:
                         # DRed lookup (diverted traffic).
                         dred_lookups += 1
                         pcd[index] += 1
-                        entries = dred_entries[index]
+                        # LPM scan over the probe plan (longest occupied
+                        # length first), as in DredCache.lookup.
                         hit = None
-                        if use_direct_dred:
-                            # Certificate valid: the only possible match
-                            # is the home chip's unique table entry.
-                            entry = l1s[packet.home][address >> 16]
-                            if type(entry) is _list:
-                                entry = entry[(address >> 8) & 0xFF]
-                                if type(entry) is _list:
-                                    entry = entry[address & 0xFF]
-                            if entry is not None:
-                                prefix = entry[0]
-                                hit = entries.get(prefix)
-                                if hit is not None:
-                                    dred_moves[index](prefix)
-                        else:
-                            # General LPM scan over the probe plan
-                            # (longest occupied length first).
-                            for shift, bucket in dred_probes[index]:
-                                prefix = bucket.get(address >> shift)
-                                if prefix is not None:
-                                    hit = entries[prefix]
-                                    dred_moves[index](prefix)
-                                    break
+                        for shift, bucket in dred_probes[index]:
+                            prefix = bucket.get(address >> shift)
+                            if prefix is not None:
+                                hit = dred_entries[index][prefix]
+                                dred_moves[index](prefix)
+                                break
                         if hit is None:
                             dred_misses_pc[index] += 1
                             dred_misses += 1

@@ -14,11 +14,11 @@ identical* stats fingerprints — every counter, not headline numbers.
 
 import pytest
 
-from repro.engine.builders import build_clue_engine
+from repro.engine.builders import build_clue_engine, measure_partition_load
 from repro.engine.simulator import EngineConfig
 from repro.faults import FaultInjector, FaultSchedule
 from repro.workload.ribgen import RibParameters, generate_rib
-from repro.workload.trafficgen import TrafficGenerator
+from repro.workload.trafficgen import TrafficGenerator, TrafficParameters
 
 PACKETS = 3_000
 
@@ -36,12 +36,15 @@ def routes():
     return generate_rib(11, RibParameters(size=2_000))
 
 
-def fresh_engine(routes, backend="trie", rate=1.0, observer=None):
+def fresh_engine(
+    routes, backend="trie", rate=1.0, observer=None, partition_loads=None
+):
     built = build_clue_engine(
         routes,
         EngineConfig(
             chip_count=4, lookup_backend=backend, arrivals_per_cycle=rate
         ),
+        partition_loads=partition_loads,
     )
     built.engine.on_cycle = observer
     return built.engine
@@ -152,9 +155,8 @@ class TestTurboParity:
         assert fast_stats.fingerprint() == trie_stats.fingerprint()
 
     def test_parity_survives_updates_between_runs(self, routes):
-        # Mid-sequence table updates invalidate the disjointness token
-        # (mutations counter moves), so the turbo loop must drop to its
-        # probe-plan DRed scan — and still match the trie run doing the
+        # Table updates between two run() calls: the second call must see
+        # the repainted tables and still match the trie run doing the
         # same updates.
         extra = routes[100][0], 9  # hop change on a live route
 
@@ -182,6 +184,63 @@ class TestTurboParity:
             return stats
 
         assert killed("fast").fingerprint() == killed("trie").fingerprint()
+
+
+@pytest.fixture(scope="module")
+def fig15_workload():
+    """The Figure 15 engine workload on the two chip placements of Table II.
+
+    ``fig15`` is the natural partition→chip mapping; ``adversarial`` pins
+    the hottest partitions on chip 0 (loads measured on the same stream),
+    which makes the run divert-heavy — the placement that leans on the
+    DRed lookup.
+    """
+    rib = generate_rib(101, RibParameters(size=8_000))
+    addresses = TrafficGenerator(
+        rib, seed=61, parameters=TrafficParameters(zipf_exponent=1.4)
+    ).take(20_000)
+    probe = build_clue_engine(rib, EngineConfig(chip_count=4))
+    loads = measure_partition_load(
+        probe.index, addresses, probe.partition_result.count
+    )
+    return rib, addresses, {"fig15": None, "adversarial": loads}
+
+
+def placed_run(workload, placement, backend, packets=None):
+    rib, addresses, loads = workload
+    engine = fresh_engine(
+        rib, backend=backend, partition_loads=loads[placement]
+    )
+    addresses = addresses[:packets]
+    stats = engine.run(iter(addresses), len(addresses))
+    assert engine.verify_completions()
+    return stats
+
+
+class TestPlacementParity:
+    """Fused loop vs ``trie`` backend on both Table II placements."""
+
+    @pytest.mark.parametrize(
+        "placement, min_diverted_share", [("fig15", 0.1), ("adversarial", 0.5)]
+    )
+    def test_fused_loop_matches_trie_backend(
+        self, fig15_workload, placement, min_diverted_share
+    ):
+        trie = placed_run(fig15_workload, placement, "trie")
+        fast = placed_run(fig15_workload, placement, "fast")
+        assert fast.fingerprint() == trie.fingerprint()
+        # The comparison is only worth something if the DRed lookup ran,
+        # hit and missed.
+        assert fast.diverted >= min_diverted_share * fast.arrivals
+        assert fast.dred_hits > 0 and fast.bounced > 0
+
+    @pytest.mark.parametrize("placement", ["fig15", "adversarial"])
+    def test_verify_backend_slice(self, fig15_workload, placement):
+        # Both tables consulted on every lookup; any drift raises.
+        verify = placed_run(fig15_workload, placement, "verify", 2_000)
+        fast = placed_run(fig15_workload, placement, "fast", 2_000)
+        assert verify.completions == 2_000
+        assert verify.fingerprint() == fast.fingerprint()
 
 
 class TestDeterminismPin:
