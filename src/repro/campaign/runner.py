@@ -324,6 +324,55 @@ def _run_inproc(cell: Cell, workdir: Path) -> CellEvidence:
     )
 
 
+# -- wire phases shared by the serve executors --------------------------
+
+
+def _wire_phases(
+    ctx: _CellContext, client, state_dir: Path, workdir: Path
+) -> Tuple[str, str]:
+    """Phases 1-3 of a cell driven over the wire, on any serving topology.
+
+    Returns the replay pair: the live fingerprint against a clean
+    :meth:`ShardSet.restore` of a copy of ``state_dir``.
+    """
+    from repro.serve.shard import ShardSet
+
+    # Phase 1: acked update batches over the wire, then MSG_FLUSH.
+    for batch in ctx.update_batches():
+        ack = client.update(batch)
+        if ack.shed:
+            # Acceptance is aggregated over the wire, so a shed makes
+            # the acked set ambiguous; budgets are sized to keep the
+            # bounded queue from ever shedding.
+            raise RuntimeError(
+                f"update queue shed {ack.shed} of {len(batch)}; "
+                f"shrink budget.batch_size or updates"
+            )
+        for message in batch:
+            ctx.mirror(message)
+    client.flush()
+
+    # Phase 2: replay checkpoint before any traffic.
+    live = client.fingerprint()
+    scratch = workdir / "replay-copy"
+    if scratch.exists():
+        shutil.rmtree(scratch)
+    shutil.copytree(state_dir, scratch)
+    restored, _reports = ShardSet.restore(scratch)
+    try:
+        replayed = restored.fingerprint()
+    finally:
+        for worker in restored.workers:
+            if worker.manager is not None:
+                worker.manager.close()
+
+    # Phase 3: traffic over the wire.
+    packets = ctx.traffic()
+    for start in range(0, len(packets), 256):
+        client.lookup(packets[start : start + 256])
+    return live, replayed
+
+
 # -- in-process network serve executor -----------------------------------
 
 
@@ -350,40 +399,7 @@ def _run_serve(cell: Cell, workdir: Path, shard_count: int) -> CellEvidence:
     with ServerThread(shards, ServeConfig()) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
-            # Phase 1: acked update batches over the wire, then MSG_FLUSH.
-            for batch in ctx.update_batches():
-                ack = client.update(batch)
-                if ack.shed:
-                    # Acceptance is aggregated over the wire, so a shed
-                    # makes the acked set ambiguous; budgets are sized
-                    # to keep the bounded queue from ever shedding.
-                    raise RuntimeError(
-                        f"update queue shed {ack.shed} of {len(batch)}; "
-                        f"shrink budget.batch_size or updates"
-                    )
-                for message in batch:
-                    ctx.mirror(message)
-            client.flush()
-
-            # Phase 2: replay checkpoint before any traffic.
-            live = client.fingerprint()
-            scratch = workdir / "replay-copy"
-            if scratch.exists():
-                shutil.rmtree(scratch)
-            shutil.copytree(state_dir, scratch)
-            restored, _reports = ShardSet.restore(scratch)
-            try:
-                replayed = restored.fingerprint()
-            finally:
-                for worker in restored.workers:
-                    if worker.manager is not None:
-                        worker.manager.close()
-            replay = (live, replayed)
-
-            # Phase 3: traffic over the wire.
-            packets = ctx.traffic()
-            for start in range(0, len(packets), 256):
-                client.lookup(packets[start : start + 256])
+            replay = _wire_phases(ctx, client, state_dir, workdir)
 
             # Phase 4: healing audit, directly on the in-process shards.
             if ctx.fault.self_heal:
@@ -455,7 +471,6 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     from repro.serve.client import ServeClient
     from repro.serve.router import plan_shards
     from repro.serve.server import ServeConfig, ServerThread
-    from repro.serve.shard import ShardSet
     from repro.workload.traces import save_faults, save_table
 
     ctx = _CellContext(cell)
@@ -487,39 +502,10 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     with ServerThread(server=front) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
-            # Phase 1: acked update batches over the wire, then MSG_FLUSH.
-            for batch in ctx.update_batches():
-                ack = client.update(batch)
-                if ack.shed:
-                    raise RuntimeError(
-                        f"update queue shed {ack.shed} of {len(batch)}; "
-                        f"shrink budget.batch_size or updates"
-                    )
-                for message in batch:
-                    ctx.mirror(message)
-            client.flush()
-
-            # Phase 2: replay checkpoint before any traffic — the live
-            # cross-process fingerprint must equal a clean single-process
-            # restore of a copy of the shared journal directory.
-            live = client.fingerprint()
-            scratch = workdir / "replay-copy"
-            if scratch.exists():
-                shutil.rmtree(scratch)
-            shutil.copytree(state_dir, scratch)
-            restored, _reports = ShardSet.restore(scratch)
-            try:
-                replayed = restored.fingerprint()
-            finally:
-                for worker in restored.workers:
-                    if worker.manager is not None:
-                        worker.manager.close()
-            replay = (live, replayed)
-
-            # Phase 3: traffic over the wire (worker faults fire here).
-            packets = ctx.traffic()
-            for start in range(0, len(packets), 256):
-                client.lookup(packets[start : start + 256])
+            # The live fingerprint is cross-process; the replayed one a
+            # clean single-process restore of the shared journal
+            # directory.  Worker faults fire during the traffic phase.
+            replay = _wire_phases(ctx, client, state_dir, workdir)
 
             from repro.serve.chaos import shard_load_rows
 

@@ -871,145 +871,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Loopback throughput/latency of the serving plane (BENCH_serve)."""
-    import contextlib
-    import tempfile
-
-    from repro.serve import (
-        ServeConfig,
-        ServerThread,
-        ShardSet,
-        generate_batches,
-        run_load,
-    )
-    from repro.serve.loadgen import batches_from_packets
-
-    routes = load_table(args.table)
-    config = SystemConfig(
-        engine=EngineConfig(
-            chip_count=args.chips,
-            dred_capacity=args.dred,
-            queue_capacity=args.queue,
-            lookup_backend=args.backend,
-        ),
-        update_queue_capacity=args.update_queue,
-    )
-    if args.packets:
-        batches = batches_from_packets(
-            load_packets(args.packets), args.batches, args.batch_size
-        )
-    else:
-        batches = generate_batches(
-            routes, args.batches, args.batch_size, seed=args.seed
-        )
-    with contextlib.ExitStack() as stack:
-        backup_port = None
-        if args.replicate:
-            # A replicated bench measures the whole HA write path: a
-            # durable primary journaling to disk and shipping to a live
-            # backup replica, acking per --ack-mode.
-            workdir = Path(
-                stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="bench-serve-")
-                )
-            )
-            backup = stack.enter_context(
-                ServerThread(
-                    None,
-                    ServeConfig(
-                        backup_dir=str(workdir / "backup"),
-                        auto_promote=False,
-                    ),
-                )
-            )
-            backup_port = backup.server.port
-            shards = ShardSet.build(
-                routes,
-                shard_count=args.shards,
-                config=config,
-                journal_dir=workdir / "journal",
-            )
-            serve_config = ServeConfig(
-                inflight_window=max(args.window, 1),
-                replicate_to=f"127.0.0.1:{backup_port}",
-                ack_mode=args.ack_mode,
-            )
-        else:
-            shards = ShardSet.build(
-                routes, shard_count=args.shards, config=config
-            )
-            serve_config = ServeConfig(inflight_window=max(args.window, 1))
-        thread = stack.enter_context(ServerThread(shards, serve_config))
-        report = run_load(
-            "127.0.0.1",
-            thread.server.port,
-            batches,
-            window=args.window,
-            timeout=args.timeout,
-            connect_attempts=args.connect_attempts,
-        )
-        from repro.serve import ServeClient
-
-        with ServeClient(
-            "127.0.0.1",
-            thread.server.port,
-            timeout=args.timeout,
-            connect_attempts=args.connect_attempts,
-        ) as admin:
-            shard_rows = admin.stats().get("shards", [])
-        thread.stop()
-    mode = (
-        f"replicated ({args.ack_mode})" if args.replicate else "standalone"
-    )
-    print(
-        format_table(
-            ["metric", "value"],
-            [
-                ("mode", mode),
-                ("requests", report.requests),
-                ("lookups", report.lookups),
-                ("busy", report.busy),
-                ("duration (s)", f"{report.duration_s:.3f}"),
-                ("lookups/sec", f"{report.lookups_per_sec:,.0f}"),
-                ("p50 latency (us)", f"{report.p50_us:.0f}"),
-                ("p99 latency (us)", f"{report.p99_us:.0f}"),
-            ],
-        )
-    )
-    if shard_rows:
-        # Per-range load accounting: the signal 'repro-clue reshard
-        # --auto' splits and merges on.
-        print(
-            format_table(
-                ["shard", "range", "lookup hits", "update hits"],
-                [
-                    (
-                        row.get("shard", i),
-                        "[{:#010x}, {:#010x})".format(*row["range"])
-                        if row.get("range") else "-",
-                        row.get("lookup_hits", 0),
-                        row.get("update_hits", 0),
-                    )
-                    for i, row in enumerate(shard_rows)
-                ],
-            )
-        )
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    if args.floor and report.lookups_per_sec < args.floor:
-        print(
-            f"FAIL: {report.lookups_per_sec:,.0f} lookups/sec below the "
-            f"{args.floor:,.0f} floor",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _ingest_policy(args: argparse.Namespace) -> "NormalizePolicy":
     from repro.ingest import NormalizePolicy
 
@@ -1726,61 +1587,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--url-only", action="store_true", help="print the URL, do not fetch"
     )
     ingest_fetch.set_defaults(handler=_cmd_ingest_fetch)
-
-    bench_serve = commands.add_parser(
-        "bench-serve",
-        help="measure loopback serving throughput and latency",
-    )
-    bench_serve.add_argument("--table", required=True)
-    bench_serve.add_argument(
-        "--packets",
-        help="drive an ingested packet trace instead of synthetic traffic",
-    )
-    bench_serve.add_argument("--batches", type=int, default=200)
-    bench_serve.add_argument("--batch-size", type=int, default=1_024)
-    bench_serve.add_argument(
-        "--window", type=int, default=4, help="pipelined requests in flight"
-    )
-    bench_serve.add_argument("--shards", type=int, default=1)
-    bench_serve.add_argument("--chips", type=int, default=4)
-    bench_serve.add_argument("--dred", type=int, default=1_024)
-    bench_serve.add_argument("--queue", type=int, default=256)
-    bench_serve.add_argument("--update-queue", type=int, default=256)
-    bench_serve.add_argument(
-        "--backend", choices=LOOKUP_BACKENDS, default="fast"
-    )
-    bench_serve.add_argument("--seed", type=int, default=1)
-    bench_serve.add_argument(
-        "--replicate",
-        action="store_true",
-        help="journal to a temp dir and ship to a live backup replica",
-    )
-    bench_serve.add_argument(
-        "--ack-mode",
-        choices=("primary", "quorum"),
-        default="primary",
-        help="with --replicate: when the primary acks updates",
-    )
-    bench_serve.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-read client timeout in seconds",
-    )
-    bench_serve.add_argument(
-        "--connect-attempts",
-        type=int,
-        default=3,
-        help="dial retries (jittered exponential backoff) before failing",
-    )
-    bench_serve.add_argument(
-        "--floor",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) below this lookups/sec",
-    )
-    bench_serve.add_argument("-o", "--output", help="write the JSON report")
-    bench_serve.set_defaults(handler=_cmd_bench_serve)
 
     return parser
 

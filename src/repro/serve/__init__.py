@@ -33,13 +33,6 @@ from repro.serve.client import (
     ServeTimeoutError,
     ServerBusyError,
 )
-from repro.serve.loadgen import (
-    LoadReport,
-    generate_batches,
-    run_load,
-    run_load_processes,
-    split_batches,
-)
 from repro.serve.procs import (
     ProcessFront,
     ProcessSupervisor,
@@ -81,7 +74,6 @@ __all__ = [
     "FailoverError",
     "HAClient",
     "JournalShipper",
-    "LoadReport",
     "MigrationState",
     "ProcessFront",
     "ProcessSupervisor",
@@ -111,12 +103,8 @@ __all__ = [
     "WorkerSpec",
     "choose_reshard",
     "choose_reshard_from_loads",
-    "generate_batches",
     "plan_merge",
     "plan_shards",
     "plan_split",
     "resolve_reshard",
-    "run_load",
-    "run_load_processes",
-    "split_batches",
 ]

@@ -37,11 +37,7 @@ three invariants must hold across the topology-epoch boundary.
 
 from __future__ import annotations
 
-import os
-import re
 import shutil
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -58,6 +54,7 @@ from repro.serve.client import (
     ServeClientError,
     ServerBusyError,
 )
+from repro.serve.procs import ServerProcess
 from repro.serve.replicate import latest_epoch_dir
 from repro.serve.reshard import read_state
 from repro.serve.router import ReplicaMap
@@ -69,12 +66,6 @@ from repro.workload.trafficgen import TrafficGenerator
 from repro.workload.updategen import UpdateGenerator, UpdateKind, UpdateMessage
 
 Route = Tuple[Prefix, int]
-
-#: Every spawned server binds port 0; the bound port is read from this
-#: startup line — no fixed ports anywhere, so parallel campaigns never
-#: collide.  The multi-process supervisor shares the same handshake.
-from repro.serve.procs import STARTUP_RE  # noqa: E402 (re-export)
-
 
 class ChaosError(Exception):
     """A scenario could not run or an invariant did not hold."""
@@ -135,75 +126,6 @@ class ScenarioResult:
             "detail": self.detail,
             "shard_loads": self.shard_loads,
         }
-
-
-class ServerProcess:
-    """One ``repro-clue serve`` subprocess with its stdout captured.
-
-    The server binds port 0; a reader thread captures every output line
-    (so the pipe never fills) and parses the bound port out of the
-    startup line.
-    """
-
-    def __init__(self, name: str, cli_args: Sequence[str]) -> None:
-        self.name = name
-        env = dict(os.environ)
-        src_root = Path(__file__).resolve().parents[2]
-        env["PYTHONPATH"] = (
-            str(src_root) + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", *cli_args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        # Everything past the Popen must not leak the child: a failure
-        # here would leave a live server no teardown path knows about.
-        try:
-            self.lines: List[str] = []
-            self.port: Optional[int] = None
-            self._port_ready = threading.Event()
-            self._reader = threading.Thread(target=self._pump, daemon=True)
-            self._reader.start()
-        except BaseException:
-            self.proc.kill()
-            self.proc.wait()
-            raise
-
-    def _pump(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.lines.append(line.rstrip("\n"))
-            if self.port is None:
-                match = STARTUP_RE.search(line)
-                if match:
-                    self.port = int(match.group(1))
-                    self._port_ready.set()
-        self._port_ready.set()  # EOF: unblock waiters either way
-
-    def wait_port(self, timeout: float) -> int:
-        if not self._port_ready.wait(timeout) or self.port is None:
-            self.kill()
-            raise ChaosError(
-                f"{self.name} never reported its port; output:\n"
-                + "\n".join(self.lines[-20:])
-            )
-        return self.port
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
-
-    def kill(self) -> None:
-        """SIGKILL — the process gets no chance to flush or ack."""
-        if self.alive:
-            self.proc.kill()
-        self.proc.wait()
-
-    def tail(self, count: int = 12) -> str:
-        return "\n".join(self.lines[-count:])
 
 
 # -- reference model -----------------------------------------------------
@@ -418,7 +340,7 @@ class Cluster:
             try:
                 proc.kill()
             except OSError as exc:  # pragma: no cover - kernel races only
-                errors.append(f"{proc.name}: {exc}")
+                errors.append(f"{proc.label}: {exc}")
         if errors:
             raise ChaosError(
                 "failed to reap subprocess(es): " + "; ".join(errors)

@@ -4,7 +4,7 @@ The simple methods (:meth:`lookup`, :meth:`update`, the admin calls) are
 strict request/response.  For pipelining — several requests in flight on
 one connection — use the raw primitives :meth:`send` / :meth:`recv`:
 the server answers strictly in request order, so responses match up
-positionally (that is what the load generator does).
+positionally (that is what ``bench/drive.py`` does).
 
 ``MSG_BUSY`` surfaces as :class:`ServerBusyError`: the server refused
 the request — inflight window exceeded, a drain in progress, or the
@@ -227,10 +227,9 @@ class ServeClient:
         Returns ``{"shards", "epoch", "boundaries", "workers"}``; the
         last two are only present on a multi-process front, where
         ``workers`` carries each shard's directly dialable endpoint
-        (host, port, alive, range) so a sharding-aware caller — the
-        bench's parallel load generator, for one — can drive worker
-        processes on their own ports.  Routing through this client
-        stays unchanged either way.
+        (host, port, alive, range) so a sharding-aware caller can drive
+        worker processes on their own ports.  Routing through this
+        client stays unchanged either way.
         """
         health = self.health()
         return {

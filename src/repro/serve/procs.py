@@ -1,8 +1,9 @@
 """Multi-process serving plane: one OS process per address-range shard.
 
 Python's GIL serialises CPU work inside one process, so in-process
-sharding buys almost nothing end-to-end (BENCH_serve: 2 shards =
-1.12x).  This module breaks that ceiling with the topology the paper's
+sharding buys almost nothing end-to-end (``shard.lookup_ns.2shard`` vs
+``.1shard`` in ``bench/README.md``).  This module lifts that ceiling
+with the topology the paper's
 parallel-chip argument implies: each shard worker becomes its *own*
 process — its own asyncio loop, :class:`ClueSystem` and
 :class:`PersistenceManager` — and a parent **front** keeps the client
@@ -15,10 +16,10 @@ Pieces, bottom up:
   --shard-index i`` argument vector.  Workers re-derive the shard plan
   themselves (:func:`~repro.serve.router.plan_shards` is deterministic),
   so nothing but the table/journal path needs to travel.
-* :class:`WorkerProcess` — one spawned worker, with the stdout port
-  handshake and the orphan-reap discipline of the chaos drills'
-  ``ServerProcess``: any failure after ``Popen`` kills and reaps the
-  child before the exception propagates.
+* :class:`ServerProcess` — one spawned ``repro serve`` child (a shard
+  worker here, a whole server in the chaos drills) with the stdout port
+  handshake and the orphan-reap discipline: any failure after ``Popen``
+  kills and reaps the child before the exception propagates.
 * :class:`ProcessSupervisor` — spawns the fleet, polls for unexpected
   deaths, restarts crashed *durable* workers from their journal, and
   escalates TERM→KILL on shutdown so the parent never leaves orphans.
@@ -149,17 +150,19 @@ class WorkerSpec:
         return args
 
 
-class WorkerProcess:
-    """One spawned shard worker (the PR 6 orphan-reap pattern).
+class ServerProcess:
+    """One spawned ``repro serve`` child: a shard worker, or a whole
+    server in the chaos drills.
 
-    The constructor either returns a fully wired process — reader
-    thread pumping stdout for the ``serving on host:port`` handshake —
-    or kills and reaps whatever it spawned before raising; a worker can
-    never outlive the supervisor's knowledge of it.
+    The child binds port 0; a reader thread captures every output line
+    (so the pipe never fills) and parses the bound port out of the
+    ``serving on host:port`` handshake.  The constructor either returns
+    a fully wired process or kills and reaps whatever it spawned before
+    raising; a child can never outlive its owner's knowledge of it.
     """
 
-    def __init__(self, index: int, cli_args: Sequence[str]) -> None:
-        self.index = index
+    def __init__(self, label: str, cli_args: Sequence[str]) -> None:
+        self.label = label
         env = os.environ.copy()
         root = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH")
@@ -173,6 +176,8 @@ class WorkerProcess:
             text=True,
             env=env,
         )
+        # Everything past the Popen must not leak the child: a failure
+        # here would leave a live server no teardown path knows about.
         try:
             self.lines: List[str] = []
             self.port: Optional[int] = None
@@ -194,14 +199,16 @@ class WorkerProcess:
                     self.port = int(match.group(1))
                     self._port_ready.set()
         finally:
-            self._port_ready.set()  # EOF: wake any waiter, port may be None
+            # EOF or a reader failure: wake any waiter (port may be
+            # None) so wait_port fails now instead of at its timeout.
+            self._port_ready.set()
 
     def wait_port(self, timeout: float) -> int:
         if not self._port_ready.wait(timeout) or self.port is None:
             tail = self.tail()
             self.kill()
             raise WorkerError(
-                f"shard worker {self.index} failed to start"
+                f"{self.label} failed to start"
                 + (f":\n{tail}" if tail else "")
             )
         return self.port
@@ -222,6 +229,7 @@ class WorkerProcess:
             self.proc.terminate()
 
     def kill(self) -> None:
+        """SIGKILL and reap — the process gets no chance to flush or ack."""
         if self.proc.poll() is None:
             self.proc.kill()
         self.proc.wait()
@@ -253,7 +261,7 @@ class ProcessSupervisor:
         #: journal-less respawn would silently forget acked updates).
         self.restart_limit = restart_limit if spec.durable else 0
         self.startup_timeout = startup_timeout
-        self.workers: List[Optional[WorkerProcess]] = (
+        self.workers: List[Optional[ServerProcess]] = (
             [None] * spec.shard_count
         )
         self.restarts = [0] * spec.shard_count
@@ -268,9 +276,7 @@ class ProcessSupervisor:
         """Spawn every worker; on any failure, no child survives."""
         try:
             for index in range(self.shard_count):
-                self.workers[index] = WorkerProcess(
-                    index, self.spec.cli_args(index)
-                )
+                self.workers[index] = self._spawn(index)
             for index in range(self.shard_count):
                 worker = self.workers[index]
                 assert worker is not None
@@ -279,6 +285,13 @@ class ProcessSupervisor:
         except BaseException:
             self.shutdown()
             raise
+
+    def _spawn(
+        self, index: int, restore: Optional[bool] = None
+    ) -> ServerProcess:
+        return ServerProcess(
+            f"shard worker {index}", self.spec.cli_args(index, restore)
+        )
 
     def endpoints(self) -> List[Tuple[str, int]]:
         rows = []
@@ -306,7 +319,7 @@ class ProcessSupervisor:
         if not self.can_restart(index):
             raise WorkerError(f"worker {index} is out of restart budget")
         self.restarts[index] += 1
-        worker = WorkerProcess(index, self.spec.cli_args(index, restore=True))
+        worker = self._spawn(index, restore=True)
         port = worker.wait_port(self.startup_timeout)
         self.workers[index] = worker
         self._serving.add(index)

@@ -441,7 +441,7 @@ class TestExitCodeConventions:
 
     def test_every_subcommand_rejects_unknown_flags_with_2(self, capsys):
         commands = self.all_subcommands()
-        assert "serve" in commands and "bench-serve" in commands
+        assert "serve" in commands
         for command in commands:
             with pytest.raises(SystemExit) as excinfo:
                 main([command, "--definitely-not-a-real-flag"])
@@ -467,42 +467,3 @@ class TestExitCodeConventions:
         code = main(["serve", "--table", str(tmp_path / "missing.txt")])
         assert code == 2
         assert "error: " in capsys.readouterr().err
-
-    def test_bench_serve_below_floor_exits_1(self, table_file, capsys):
-        code = main(
-            [
-                "bench-serve",
-                "--table",
-                str(table_file),
-                "--batches",
-                "2",
-                "--batch-size",
-                "32",
-                "--floor",
-                "1e12",
-            ]
-        )
-        assert code == 1
-        assert "FAIL" in capsys.readouterr().err
-
-    def test_bench_serve_writes_report(self, table_file, tmp_path, capsys):
-        out = tmp_path / "serve.json"
-        code = main(
-            [
-                "bench-serve",
-                "--table",
-                str(table_file),
-                "--batches",
-                "2",
-                "--batch-size",
-                "32",
-                "-o",
-                str(out),
-            ]
-        )
-        assert code == 0
-        import json
-
-        report = json.loads(out.read_text())
-        assert report["lookups"] == 64
-        assert report["busy"] == 0

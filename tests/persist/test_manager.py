@@ -107,6 +107,30 @@ class TestRestore:
         assert stats.replayed_updates == report.replayed_records
         restored.close()
 
+    @pytest.mark.parametrize("records", [100, 400, 1_500])
+    def test_journal_only_replay_matches_unjournaled_run(
+        self, tmp_path, records
+    ):
+        """Journaling costs time, never state: the journaled run equals
+        an un-journaled one, and with no checkpoint past the initial
+        snapshot a restore replays every record back onto that state."""
+        trace = UpdateGenerator(list(ROUTES), seed=47).take(records)
+        baseline = make_system()
+        system = make_system()
+        manager = PersistenceManager(system, tmp_path, sync_interval=64)
+        for message in trace:
+            baseline.apply_update(message)
+            manager.apply_update(message)
+        fingerprint = baseline.state_fingerprint()
+        assert system.state_fingerprint() == fingerprint
+        manager.crash()
+
+        restored, report = PersistenceManager.restore(tmp_path)
+        assert report.replayed_records == records
+        assert restored.system.state_fingerprint() == fingerprint
+        assert report.audit is not None and report.audit.ok
+        restored.close()
+
     def test_restore_continues_journal(self, tmp_path):
         manager = PersistenceManager(make_system(), tmp_path)
         drive(manager, TRACE[:50])

@@ -219,3 +219,37 @@ class TestReplicaMapResolution:
         with pytest.raises(FailoverError):
             ha.connect()
         assert replicas.endpoints[0].role == "dead"
+
+    def test_resolves_past_a_backup(
+        self, tmp_path, serve_rib, fast_config
+    ):
+        """The first endpoint listed is an unpromoted backup: the HA
+        client probes past it, serves from the real primary without a
+        failover, and the map records who is who."""
+        backup = ServerThread(
+            None,
+            ServeConfig(backup_dir=str(tmp_path / "backup"), auto_promote=False),
+        )
+        backup_port = backup.start()
+        primary = ServerThread(
+            ShardSet.build(serve_rib, config=fast_config), ServeConfig()
+        )
+        primary_port = primary.start()
+        replicas = ReplicaMap.parse(
+            f"127.0.0.1:{backup_port},127.0.0.1:{primary_port}"
+        )
+        try:
+            with HAClient(replicas) as ha:
+                hops = ha.lookup([prefix.network for prefix, _ in serve_rib[:96]])
+                assert ha.failovers == 0
+                served = ha.stats()["serve"]["lookups_total"]
+            with ServeClient("127.0.0.1", backup_port) as admin:
+                shed = admin.stats()["serve"]["busy_responses"]
+        finally:
+            primary.stop()
+            backup.stop()
+        assert len(hops) == 96 and None not in hops
+        # The primary served the batch; the backup was probed, never asked.
+        assert (served, shed) == (96, 0)
+        roles = {e.port: e.role for e in replicas.endpoints}
+        assert roles == {backup_port: "syncing", primary_port: "primary"}

@@ -10,6 +10,7 @@ import json
 import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +100,29 @@ class TestProcessFront:
         expected = [reference.lookup(address) for address in addresses]
         assert proc_client.lookup(addresses) == expected
         assert proc_client.lookup([]) == []
+
+    def test_advertised_worker_ports_answer_their_range(
+        self, proc_front, serve_rib
+    ):
+        """``serve.json`` advertises each worker's own port so a
+        sharding-aware client can skip the front: a range-local batch
+        sent straight to a worker gets the reference answers."""
+        _, supervisor = proc_front
+        meta = json.loads(
+            Path(supervisor.spec.journal, "serve.json").read_text()
+        )
+        endpoints = meta["workers"]["endpoints"]
+        assert len(endpoints) == 2
+        router = ShardRouter(meta["boundaries"])
+        reference = BinaryTrie.from_routes(serve_rib)
+        addresses = TrafficGenerator(serve_rib, seed=19).take(1_024)
+        for shard, (host, port) in enumerate(endpoints):
+            local = [a for a in addresses if router.shard_of(a) == shard]
+            assert local, "the traffic must reach every range"
+            with ServeClient(host, port) as direct:
+                assert direct.lookup(local) == [
+                    reference.lookup(a) for a in local
+                ]
 
     def test_update_ack_durable_and_visible(self, proc_client):
         prefix = Prefix.parse("198.51.100.0/24")

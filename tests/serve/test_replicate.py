@@ -20,6 +20,7 @@ from repro.serve import (
     ServeClient,
     ServeClientError,
     ServeConfig,
+    ServerBusyError,
     ServerThread,
     ShardSet,
 )
@@ -160,8 +161,50 @@ class TestPrimaryAckMode:
             primary.stop()
             backup.stop()
 
+    def test_replicating_primary_serves_lookups_unshed(
+        self, tmp_path, serve_rib, fast_config
+    ):
+        """A shipper attached to the primary takes nothing from the data
+        plane: a full 1,024-address batch is answered, not shed, and
+        equals the reference trie."""
+        backup, backup_port = start_backup(tmp_path)
+        primary, primary_port = start_primary(
+            tmp_path, serve_rib, fast_config, backup_port, ack_mode="primary"
+        )
+        try:
+            reference = BinaryTrie.from_routes(serve_rib)
+            addresses = TrafficGenerator(serve_rib, seed=16).take(1_024)
+            with ServeClient("127.0.0.1", primary_port) as client:
+                assert client.health()["replication"]["alive"] is True
+                hops = client.lookup(addresses)  # a BUSY would raise
+                serve = client.stats()["serve"]
+            assert hops == [reference.lookup(a) for a in addresses]
+            assert serve["lookups_total"] == 1_024
+            assert serve["busy_responses"] == 0
+        finally:
+            primary.stop()
+            backup.stop()
+
 
 class TestPromotion:
+    def test_unpromoted_backup_sheds_lookups_as_backup(self, tmp_path, serve_rib):
+        """A following replica owns no address range: every lookup is
+        answered BUSY("backup") — the reason a client turns into
+        failover — and nothing is served."""
+        backup, backup_port = start_backup(tmp_path)
+        try:
+            addresses = TrafficGenerator(serve_rib, seed=18).take(16)
+            with ServeClient("127.0.0.1", backup_port) as client:
+                for _ in range(5):
+                    with pytest.raises(ServerBusyError) as info:
+                        client.lookup(addresses)
+                    assert info.value.reason == "backup"
+                serve = client.stats()["serve"]
+            assert serve["busy_responses"] == 5
+            assert serve["lookups_total"] == 0
+        finally:
+            backup.stop()
+
     def test_feed_eof_promotes_and_client_fails_over(
         self, tmp_path, serve_rib, fast_config
     ):

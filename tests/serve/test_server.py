@@ -149,6 +149,11 @@ class TestGracefulDrain:
             if f.type == protocol.MSG_BUSY
         }
         assert reasons <= {"draining"}
+        # Everything sent after the drain was acknowledged is shed, with
+        # the reason a client turns into failover.
+        assert [
+            (f.type, protocol.decode_text(f.payload)) for f in frames[20:]
+        ] == [(protocol.MSG_BUSY, "draining")] * 5
 
         health = thread.server._health_snapshot()
         assert health["status"] == "draining"

@@ -16,10 +16,8 @@ from repro.serve import (
     ShardSet,
     choose_reshard,
     choose_reshard_from_loads,
-    split_batches,
 )
 from repro.serve.chaos import shard_load_rows
-from repro.serve.router import ShardRouter
 from repro.serve.stats import ServeStats
 from repro.workload.trafficgen import TrafficGenerator
 from repro.workload.updategen import UpdateKind, UpdateMessage
@@ -122,40 +120,3 @@ class TestShardRowAggregation:
         # No hot shard, but an adjacent cold pair under the threshold.
         assert choose_reshard_from_loads([10, 5, 45, 40]) == ("merge", 0)
         assert choose_reshard_from_loads([50, 50]) is None
-
-
-class TestSplitBatches:
-    def test_split_preserves_order_and_assignment(self, serve_rib):
-        boundaries = [0, 1 << 31, 3 << 30]
-        router = ShardRouter(boundaries)
-        batches = [
-            TrafficGenerator(serve_rib, seed=seed).take(256)
-            for seed in (3, 9, 27)
-        ]
-        per_shard = split_batches(batches, boundaries)
-
-        assert len(per_shard) == len(boundaries)
-        for shard, shard_batches in enumerate(per_shard):
-            for sub in shard_batches:
-                assert sub, "empty sub-batches are dropped"
-                assert all(
-                    router.shard_of(address) == shard for address in sub
-                )
-        # Nothing lost, nothing duplicated, per-shard order preserved.
-        assert sorted(
-            address
-            for shard_batches in per_shard
-            for sub in shard_batches
-            for address in sub
-        ) == sorted(address for batch in batches for address in batch)
-        for shard, shard_batches in enumerate(per_shard):
-            flattened = [
-                address for sub in shard_batches for address in sub
-            ]
-            expected = [
-                address
-                for batch in batches
-                for address in batch
-                if router.shard_of(address) == shard
-            ]
-            assert flattened == expected
