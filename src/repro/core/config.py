@@ -37,7 +37,3 @@ class SystemConfig:
     #: TCAM writes) and at which it exits (flush the deferred batch).
     storm_high_watermark: float = 0.75
     storm_low_watermark: float = 0.25
-
-    @property
-    def partition_count(self) -> int:
-        return self.engine.chip_count * self.partitions_per_chip

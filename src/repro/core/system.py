@@ -28,15 +28,12 @@ from repro.compress.labels import CompressionMode
 from repro.core.config import SystemConfig
 from repro.core.metrics import RecoveryStats, SystemReport
 from repro.compress.onrtc import CompressionReport, TableDiff
-from repro.engine.builders import map_partitions_to_chips
-from repro.engine.schemes import CluePolicy
-from repro.engine.simulator import EngineConfig, LookupEngine
+from repro.engine.builders import FlatHomeIndex, clue_engine, place_clue
+from repro.engine.simulator import EngineConfig
 from repro.engine.stats import EngineStats
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.net.prefix import Prefix
-from repro.partition.base import Partition, PartitionResult
-from repro.partition.even import even_partition
 from repro.partition.index_logic import RangeIndex
 from repro.update.pipeline import ClueUpdatePipeline, UpdateScheduler
 from repro.update.ttf import TtfSample
@@ -110,30 +107,15 @@ class ClueSystem:
         )
         self._original_size = len(routes)
 
-        # Pillar 2: even partitioning and the parallel engine.
-        compressed = self.pipeline.trie_stage.table.routes()
-        partition_count = self.config.partition_count
-        self.partition_result = even_partition(compressed, partition_count)
-        self.index = RangeIndex.from_partition(self.partition_result)
-        self.partition_to_chip = map_partitions_to_chips(
-            partition_count,
-            self.config.engine.chip_count,
+        # Pillar 2: even partitioning and the parallel engine.  Its
+        # home_of (a FlatHomeIndex) alone holds the live placement.
+        self.engine = clue_engine(
+            self.pipeline.trie_stage.table.routes(),
+            self.pipeline.trie_stage.table.source,
+            self.config.engine,
+            self.config.partitions_per_chip,
             self.config.partition_loads,
-        )
-        tables: List[List[Route]] = [
-            [] for _ in range(self.config.engine.chip_count)
-        ]
-        for partition in self.partition_result.partitions:
-            tables[self.partition_to_chip[partition.index]].extend(
-                partition.routes
-            )
-        self.engine = LookupEngine(
-            tables,
-            home_of=self._home_of,
-            scheme=CluePolicy(),
-            config=self.config.engine,
-            reference=self.pipeline.trie_stage.table.source,
-        )
+        ).engine
         # Share the engine's DRed banks with the update pipeline so table
         # changes invalidate live cached entries.
         self.pipeline.dred_stage.caches = [
@@ -162,9 +144,6 @@ class ClueSystem:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
-
-    def _home_of(self, address: int) -> int:
-        return self.partition_to_chip[self.index.home_of(address)]
 
     def lookup(self, address: int) -> Optional[int]:
         """One-off LPM against the current table (control-plane path)."""
@@ -220,14 +199,10 @@ class ClueSystem:
         ranges would miss.  :meth:`rebalance` collapses the replicas back
         to one copy each.
         """
-        first = self.index.home_of(prefix.network)
-        last = self.index.home_of(prefix.broadcast)
-        return sorted(
-            {
-                self.partition_to_chip[partition]
-                for partition in range(first, last + 1)
-            }
-        )
+        home = self.engine.home_of
+        first = home.index.home_of(prefix.network)
+        last = home.index.home_of(prefix.broadcast)
+        return sorted(set(home.mapping[first : last + 1]))
 
     def _apply_diff_to_chips(self, diff: TableDiff) -> None:
         for prefix, _hop in diff.removes:
@@ -419,32 +394,22 @@ class ClueSystem:
         survivors = self.engine.alive_chips
         if not survivors:
             raise RuntimeError("cannot rebalance with every chip failed")
-        compressed = self.pipeline.trie_stage.table.routes()
-        partition_count = len(survivors) * self.config.partitions_per_chip
-        new_result = even_partition(compressed, partition_count)
-        new_index = RangeIndex.from_partition(new_result)
-        new_mapping = [
-            survivors[local]
-            for local in map_partitions_to_chips(
-                partition_count, len(survivors), None
-            )
-        ]
-
+        result, home, new_tables = place_clue(
+            self.pipeline.trie_stage.table.routes(),
+            survivors,
+            self.config.engine.chip_count,
+            self.config.partitions_per_chip,
+        )
         old_homes = {
             prefix: chip_index
             for chip_index, chip in enumerate(self.engine.chips)
             for prefix, _hop in chip.table.routes()
         }
-        new_tables: List[List[Route]] = [
-            [] for _ in range(self.config.engine.chip_count)
-        ]
-        moved = 0
-        for partition in new_result.partitions:
-            chip_index = new_mapping[partition.index]
-            for route in partition.routes:
-                new_tables[chip_index].append(route)
-                if old_homes.get(route[0]) != chip_index:
-                    moved += 1
+        moved = sum(
+            old_homes.get(prefix) != chip_index
+            for chip_index, table in enumerate(new_tables)
+            for prefix, _hop in table
+        )
 
         flushed = 0
         for chip_index, chip in enumerate(self.engine.chips):
@@ -454,13 +419,11 @@ class ClueSystem:
                 for prefix in list(chip.dred._entries):
                     chip.dred.delete(prefix)
 
-        self.partition_result = new_result
-        self.index = new_index
-        self.partition_to_chip = new_mapping
+        self.engine.home_of = home
         return RebalanceReport(
             moved_entries=moved,
             flushed_dred_entries=flushed,
-            partition_sizes=new_result.sizes(),
+            partition_sizes=result.sizes(),
             survivor_chips=survivors,
         )
 
@@ -498,8 +461,7 @@ class ClueSystem:
             "config": self._config_state(),
             "source_routes": codec.encode_routes(table.source.routes()),
             "compressed": codec.encode_routes(table.table.items()),
-            "boundaries": list(self.index.boundaries),
-            "partition_to_chip": list(self.partition_to_chip),
+            **self._placement_state(),
             "chips": self._chip_states(),
             "scheduler": self._scheduler_state(include_stats=True),
             "audit_repairs": self.audit_repairs,
@@ -544,7 +506,10 @@ class ClueSystem:
                     "table is not the deterministic recompression of its "
                     "source trie"
                 )
-            system._restore_partitions(state)
+            system.engine.home_of = FlatHomeIndex(
+                RangeIndex([int(b) for b in state["boundaries"]]),
+                [int(c) for c in state["partition_to_chip"]],
+            )
             system._restore_chips(state["chips"])
             system._restore_scheduler(state["scheduler"])
             system.audit_repairs = int(state.get("audit_repairs", 0))
@@ -569,8 +534,7 @@ class ClueSystem:
         return state_digest(
             {
                 "compressed": codec.encode_routes(table.table.items()),
-                "boundaries": list(self.index.boundaries),
-                "partition_to_chip": list(self.partition_to_chip),
+                **self._placement_state(),
                 "chips": self._chip_states(),
                 "scheduler": self._scheduler_state(include_stats=False),
             }
@@ -600,14 +564,20 @@ class ClueSystem:
         return state_digest(
             {
                 "compressed": codec.encode_routes(table.table.items()),
-                "boundaries": list(self.index.boundaries),
-                "partition_to_chip": list(self.partition_to_chip),
+                **self._placement_state(),
                 "chips": chips,
                 "scheduler": self._scheduler_state(include_stats=False),
             }
         )
 
     # -- capture/restore helpers ---------------------------------------
+
+    def _placement_state(self) -> Dict:
+        home = self.engine.home_of
+        return {
+            "boundaries": list(home.index.boundaries),
+            "partition_to_chip": list(home.mapping),
+        }
 
     def _config_state(self) -> Dict:
         engine = self.config.engine
@@ -706,21 +676,6 @@ class ClueSystem:
                 for field in dataclasses.fields(scheduler.stats)
             }
         return state
-
-    def _restore_partitions(self, state: Dict) -> None:
-        boundaries = [int(b) for b in state["boundaries"]]
-        self.index = RangeIndex(boundaries)
-        self.partition_to_chip = [int(c) for c in state["partition_to_chip"]]
-        # The partition objects are rederivable: bucket the compressed
-        # table by the restored boundaries.
-        partitions = [Partition(index) for index in range(len(boundaries))]
-        for route in self.pipeline.trie_stage.table.routes():
-            partitions[self.index.home_of(route[0].network)].routes.append(
-                route
-            )
-        self.partition_result = PartitionResult(
-            algorithm="clue-even", partitions=partitions
-        )
 
     def _restore_chips(self, chip_states: List[Dict]) -> None:
         from repro.persist import codec

@@ -150,6 +150,57 @@ def _chip_tables(
     return tables
 
 
+def place_clue(
+    compressed: Sequence[Route],
+    chips: Sequence[int],
+    chip_count: int,
+    partitions_per_chip: int,
+    partition_loads: Optional[Sequence[int]] = None,
+) -> Tuple[PartitionResult, FlatHomeIndex, List[List[Route]]]:
+    """CLUE's placement: even ranges, their Indexing Logic, their chips.
+
+    The disjoint ``compressed`` table is cut into ``partitions_per_chip``
+    even ranges per chip in ``chips`` (every chip at construction, the
+    survivors after a chip death), the ranges are dealt to those chips and
+    step II is flattened into a :class:`FlatHomeIndex`.  Returns the
+    partitions, that index and the tables of all ``chip_count`` chips
+    (empty for chips outside ``chips``).
+    """
+    partition_count = len(chips) * partitions_per_chip
+    result = even_partition(compressed, partition_count)
+    mapping = [
+        chips[local]
+        for local in map_partitions_to_chips(
+            partition_count, len(chips), partition_loads
+        )
+    ]
+    home = FlatHomeIndex(RangeIndex.from_partition(result), mapping)
+    return result, home, _chip_tables(result, mapping, chip_count)
+
+
+def clue_engine(
+    compressed: Sequence[Route],
+    reference: BinaryTrie,
+    config: EngineConfig,
+    partitions_per_chip: int,
+    partition_loads: Optional[Sequence[int]],
+) -> BuiltEngine:
+    """Place a table compressed from ``reference``; wire up CLUE."""
+    count = config.chip_count
+    result, home, tables = place_clue(
+        compressed, range(count), count, partitions_per_chip, partition_loads
+    )
+    engine = LookupEngine(tables, home, CluePolicy(), config, reference)
+    return BuiltEngine(
+        engine=engine,
+        scheme=engine.scheme,
+        partition_result=result,
+        index=home.index,
+        partition_to_chip=home.mapping,
+        tcam_entries_per_chip=[len(table) for table in tables],
+    )
+
+
 def build_clue_engine(
     routes: Sequence[Route],
     config: Optional[EngineConfig] = None,
@@ -158,32 +209,13 @@ def build_clue_engine(
     partition_loads: Optional[Sequence[int]] = None,
 ) -> BuiltEngine:
     """ONRTC-compress, even-partition and wire up the CLUE engine."""
-    config = config or EngineConfig()
     reference = BinaryTrie.from_routes(routes)
-    compressed = sorted(
-        compress(reference, mode).items(), key=lambda r: r[0].sort_key()
-    )
-    partition_count = config.chip_count * partitions_per_chip
-    result = even_partition(compressed, partition_count)
-    index = RangeIndex.from_partition(result)
-    mapping = map_partitions_to_chips(
-        partition_count, config.chip_count, partition_loads
-    )
-    tables = _chip_tables(result, mapping, config.chip_count)
-    engine = LookupEngine(
-        tables,
-        home_of=FlatHomeIndex(index, mapping),
-        scheme=CluePolicy(),
-        config=config,
-        reference=reference,
-    )
-    return BuiltEngine(
-        engine=engine,
-        scheme=engine.scheme,
-        partition_result=result,
-        index=index,
-        partition_to_chip=mapping,
-        tcam_entries_per_chip=[len(table) for table in tables],
+    return clue_engine(
+        list(compress(reference, mode).items()),
+        reference,
+        config or EngineConfig(),
+        partitions_per_chip,
+        partition_loads,
     )
 
 
@@ -326,7 +358,9 @@ __all__ = [
     "build_clue_engine",
     "build_round_robin_engine",
     "build_slpl_engine",
+    "clue_engine",
     "map_partitions_to_chips",
     "measure_partition_load",
+    "place_clue",
     "build_index",
 ]

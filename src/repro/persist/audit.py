@@ -223,7 +223,7 @@ class InvariantAuditor:
         self, chips: Optional[Sequence[int]]
     ) -> AuditReport:
         report = AuditReport(checks_run=["partition"])
-        boundaries = self.system.index.boundaries
+        boundaries = self.system.engine.home_of.index.boundaries
         if boundaries[0] != 0 or boundaries != sorted(boundaries):
             report.violations.append(
                 InvariantViolation(

@@ -24,10 +24,13 @@ class TestConstruction:
 
     def test_partitions_even_and_mapped(self, system_rib):
         system = ClueSystem(system_rib)
-        sizes = system.partition_result.sizes()
+        home = system.engine.home_of
+        sizes = [0] * len(home.index.boundaries)
+        for prefix in system.pipeline.trie_stage.table.table:
+            sizes[home.index.home_of(prefix.network)] += 1
         assert max(sizes) - min(sizes) <= 1
         assert len(sizes) == 32
-        assert sorted(set(system.partition_to_chip)) == [0, 1, 2, 3]
+        assert sorted(set(home.mapping)) == [0, 1, 2, 3]
 
     def test_chips_union_is_compressed_table(self, system_rib):
         system = ClueSystem(system_rib)
@@ -49,7 +52,7 @@ class TestConstruction:
             engine=EngineConfig(chip_count=2), partitions_per_chip=4
         )
         system = ClueSystem(system_rib, config)
-        assert system.partition_result.count == 8
+        assert len(system.engine.home_of.index.boundaries) == 8
         assert len(system.engine.chips) == 2
 
 
@@ -99,8 +102,38 @@ class TestOperation:
         for _ in range(400):
             address = wide.network + rng.randrange(wide.size)
             expected = reference.lookup(address)
-            home_chip = system.engine.chips[system._home_of(address)]
+            home_chip = system.engine.chips[system.engine.home_of(address)]
             assert home_chip.table.lookup(address) == expected
+
+    @pytest.mark.parametrize("backend", ["trie", "fast"])
+    def test_spanning_entry_withdrawn_from_every_replica(self, backend):
+        """An entry that spans the chip boundary lives on both chips, and
+        replacing it must delete every replica, not just the first."""
+        from repro.net.prefix import Prefix
+        from repro.workload.updategen import UpdateKind, UpdateMessage
+
+        quarters = [
+            Prefix.parse(f"{octet}.0.0.0/2") for octet in (0, 64, 128, 192)
+        ]
+        system = ClueSystem(
+            list(zip(quarters, [1, 1, 2, 2])),
+            SystemConfig(
+                engine=EngineConfig(chip_count=2, lookup_backend=backend),
+                partitions_per_chip=1,
+            ),
+        )
+
+        def announce(prefix, hop):
+            system.apply_update(
+                UpdateMessage(UpdateKind.ANNOUNCE, prefix, hop, 0.0)
+            )
+
+        announce(quarters[2], 1)
+        announce(quarters[3], 1)
+        root = Prefix.root()
+        assert [chip.table.get(root) for chip in system.engine.chips] == [1, 1]
+        announce(quarters[2], 2)
+        assert system.verify_chips(repair=False).clean
 
     def test_report_lines(self, system_rib):
         system = ClueSystem(system_rib)

@@ -7,6 +7,8 @@ These tests drive the full facade (traffic, updates, rebalance, failover,
 checkpoint/restore) rather than the bare engine.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core import ClueSystem, SystemConfig
@@ -136,6 +138,25 @@ class TestUpdatesUnderFastBackend:
         assert fingerprints["fast"] == fingerprints["trie"]
 
 
+class TestPerCallCost:
+    def test_one_address_call_allocates_no_home_table(self, system_rib):
+        """``repro serve``'s one-address call: step II reads the engine's
+        flattened home index, so the call builds no per-call /16 table
+        (65,536 slots, ~0.5 MB)."""
+        system = fast_system(system_rib)
+        addresses = TrafficGenerator(system_rib, seed=43).take(1026)
+        system.process_lookups(addresses[:1024])
+        system.process_lookups(addresses[1024:1025])
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            system.process_lookups(addresses[1025:])
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
 class TestFailoverUnderFastBackend:
     def test_chip_death_falls_back_and_recovers(self, system_rib):
         fingerprints = {}
@@ -157,22 +178,48 @@ class TestFailoverUnderFastBackend:
 
 class TestSnapshotRoundTrip:
     def test_backend_survives_capture_restore(self, system_rib):
-        system = fast_system(system_rib)
-        system.process_traffic(TrafficGenerator(system_rib, seed=19), 1_500)
-        system.apply_updates(UpdateGenerator(system_rib, seed=23).take(50))
-        fingerprint = system.state_fingerprint()
-
-        restored = ClueSystem.from_state(system.capture_state())
-        assert restored.config.engine.lookup_backend == "fast"
-        assert restored.state_fingerprint() == fingerprint
-        # The restored chips actually run the fast tables.
+        """Also after a chip death and a survivor rebalance, where the
+        restored system must take the snapshot's placement, not the one
+        its constructor computes."""
         from repro.engine.fastlpm import FastLpmTable
 
-        assert all(
-            type(chip.table) is FastLpmTable for chip in restored.engine.chips
-        )
-        restored.process_traffic(TrafficGenerator(system_rib, seed=29), 1_000)
-        assert restored.engine.verify_completions(covered_only=True)
+        for failed_chip in (None, 2):
+            system = fast_system(system_rib)
+            oracle = BinaryTrie.from_routes(system_rib)
+            system.process_traffic(
+                TrafficGenerator(system_rib, seed=19), 1_500
+            )
+            if failed_chip is not None:
+                system.fail_chip(failed_chip)
+                system.rebalance()
+            batch = UpdateGenerator(system_rib, seed=23).take(50)
+            system.apply_updates(batch)
+            apply_to_reference(oracle, batch)
+            fingerprint = system.state_fingerprint()
+            state = system.capture_state()
+
+            restored = ClueSystem.from_state(state)
+            assert restored.config.engine.lookup_backend == "fast"
+            assert restored.state_fingerprint() == fingerprint
+            home = restored.engine.home_of
+            assert home.index.boundaries == state["boundaries"]
+            assert home.mapping == state["partition_to_chip"]
+            assert failed_chip not in home.mapping
+            # The restored chips actually run the fast tables.
+            assert all(
+                type(chip.table) is FastLpmTable
+                for chip in restored.engine.chips
+            )
+            addresses = TrafficGenerator(system_rib, seed=53).take(1_500)
+            answers = restored.process_lookups(addresses)
+            assert answers == system.process_lookups(addresses)
+            for address, hop in zip(addresses, answers):
+                expected = oracle.lookup(address)
+                assert expected is None or hop == expected
+            restored.process_traffic(
+                TrafficGenerator(system_rib, seed=29), 1_000
+            )
+            assert restored.engine.verify_completions(covered_only=True)
 
     def test_trie_snapshot_restores_as_trie(self, system_rib):
         system = trie_system(system_rib)

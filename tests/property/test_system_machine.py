@@ -82,7 +82,7 @@ class ClueSystemMachine(RuleBasedStateMachine):
         assert union == table
         # Every entry is present in the chip owning its first address.
         for prefix, hop in table.items():
-            home = system._home_of(prefix.network)
+            home = system.engine.home_of(prefix.network)
             assert system.engine.chips[home].table.get(prefix) == hop
 
 
