@@ -2,9 +2,10 @@
 
 A campaign spec (TOML or JSON) names points on four axes; the runner
 expands the cross-product, drops structurally impossible cells with
-recorded reasons, executes each cell through the real simulate / serve /
-chaos entry points, and judges every cell against the shared
-invariant-oracle layer.  See DESIGN.md §13 and EXPERIMENTS.md.
+recorded reasons, executes each cell through the real simulate / serve
+entry points (real killed subprocesses for the ``ha``/``reshard``
+drills), and judges every cell against the shared invariant-oracle
+layer.  See DESIGN.md §13 and EXPERIMENTS.md.
 """
 
 from repro.campaign.oracles import (

@@ -65,16 +65,18 @@ class OracleVerdict:
 class CellEvidence:
     """What one executed cell left behind for the oracles to judge.
 
-    ``systems`` holds the live per-shard :class:`ClueSystem` objects for
-    in-process topologies (empty for subprocess HA cells, whose engine
-    internals died with the processes).  ``lookup_fn`` is the cell's
-    *data path* — ``process_lookups`` or a network client — never the
-    control-plane trie, so chip-level corruption stays visible.
-    ``reference`` mirrors the initial RIB plus exactly the acked update
-    stream.  ``prechecked`` carries verdicts the executor itself had to
-    establish mid-flight (e.g. the HA survivor checks inside the chaos
-    cell); oracles with a precheck entry report it instead of
-    re-deriving evidence that no longer exists.
+    ``systems`` holds per-shard :class:`ClueSystem` objects: the live
+    ones for in-process topologies, and for topologies whose engines
+    live in subprocesses an in-process restore of a copy of the state
+    directory that is fingerprint-equal to the live server (the state
+    fingerprint covers chip tables and DRed content).  ``lookup_fn`` is
+    the cell's *data path* — ``process_lookups`` or a network client —
+    never the control-plane trie, so chip-level corruption stays
+    visible.  ``reference`` mirrors the initial RIB plus exactly the
+    acked update stream.  ``prechecked`` carries the data-path oracles'
+    verdicts when the executor had to run them while its server was
+    still up; those oracles report the precheck instead of calling a
+    data path that no longer exists.
     """
 
     cell: Cell
@@ -257,12 +259,7 @@ def storage_audit(evidence: CellEvidence) -> OracleVerdict:
 
 def _skip_no_systems(evidence: CellEvidence, name: str) -> Optional[OracleVerdict]:
     if not evidence.systems:
-        return OracleVerdict(
-            name,
-            SKIP,
-            "engine internals are not inspectable for this topology "
-            "(subprocess cell)",
-        )
+        return OracleVerdict(name, SKIP, "executor captured no engine internals")
     return None
 
 

@@ -20,6 +20,13 @@ oracles are order-sensitive:
    audit on (``self_heal``) run one ``verify_chips`` repair pass.
 5. **Judgement** — the shared oracle layer (:mod:`repro.campaign.oracles`).
 
+The process-level drills (``ha``, ``reshard``) interleave their kills
+with the update phase and run no traffic after it; their replay
+checkpoint is taken at the survivor once the drill is over, and the
+engine-internal oracles judge an in-process restore that is
+fingerprint-equal to it.  No executor writes a verdict itself: the
+data-path oracles merely run early, while the server is still up.
+
 A cell that raises mid-flight is *captured*, not propagated: its result
 carries the error and the campaign moves on — CI wants every cell's
 verdict, not the first traceback.
@@ -33,21 +40,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaign.oracles import (
-    FAIL,
-    PASS,
-    SKIP,
-    CellEvidence,
-    OracleVerdict,
-    judge,
-)
+from repro.campaign.oracles import FAIL, CellEvidence, OracleVerdict, judge
 from repro.campaign.spec import Cell, CampaignSpec
 from repro.core.config import SystemConfig
 from repro.core.system import ClueSystem
 from repro.engine.simulator import EngineConfig
 from repro.faults.profiles import FaultProfile, fault_profile
 from repro.net.prefix import Prefix
-from repro.persist.manager import PersistenceManager
+from repro.persist.manager import PersistenceManager, StorageAudit
 from repro.trie.trie import BinaryTrie
 from repro.workload.profiles import (
     FileWorkload,
@@ -324,19 +324,53 @@ def _run_inproc(cell: Cell, workdir: Path) -> CellEvidence:
     )
 
 
-# -- wire phases shared by the serve executors --------------------------
+# -- evidence shared by the serving executors -----------------------------
+
+
+def _restore_copy(
+    state_dir: Path, scratch: Path
+) -> Tuple[str, List[ClueSystem], List[StorageAudit]]:
+    """Restore a copy of ``state_dir`` in-process.
+
+    Returns the copy's fingerprint, its per-shard systems and the storage
+    audit of each shard's journal.  A copy fingerprint-equal to a live
+    server stands in for that server's engine internals.
+    """
+    from repro.serve.shard import ShardSet
+
+    if scratch.exists():
+        shutil.rmtree(scratch)
+    shutil.copytree(state_dir, scratch)
+    restored, _reports = ShardSet.restore(scratch)
+    managers = [w.manager for w in restored.workers if w.manager is not None]
+    try:
+        fingerprint = restored.fingerprint()
+        audits = [manager.verify_storage() for manager in managers]
+    finally:
+        for manager in managers:
+            manager.close()
+    return fingerprint, [worker.system for worker in restored.workers], audits
+
+
+def _precheck_data_path(evidence: CellEvidence) -> None:
+    """Run the network-dependent oracles while the server is still up,
+    then detach the data path (the server is about to go)."""
+    from repro.campaign import oracles as oracle_module
+
+    for name in ("zero-acked-loss", "lpm-equivalence"):
+        evidence.prechecked[name] = oracle_module._ORACLES[name](evidence)
+    evidence.lookup_fn = None
 
 
 def _wire_phases(
     ctx: _CellContext, client, state_dir: Path, workdir: Path
-) -> Tuple[str, str]:
+) -> Tuple[Tuple[str, str], List[ClueSystem]]:
     """Phases 1-3 of a cell driven over the wire, on any serving topology.
 
-    Returns the replay pair: the live fingerprint against a clean
-    :meth:`ShardSet.restore` of a copy of ``state_dir``.
+    Returns the replay pair — the live fingerprint against a clean
+    restore of a copy of ``state_dir`` at the quiesce point — and that
+    restore's systems.
     """
-    from repro.serve.shard import ShardSet
-
     # Phase 1: acked update batches over the wire, then MSG_FLUSH.
     for batch in ctx.update_batches():
         ack = client.update(batch)
@@ -354,23 +388,33 @@ def _wire_phases(
 
     # Phase 2: replay checkpoint before any traffic.
     live = client.fingerprint()
-    scratch = workdir / "replay-copy"
-    if scratch.exists():
-        shutil.rmtree(scratch)
-    shutil.copytree(state_dir, scratch)
-    restored, _reports = ShardSet.restore(scratch)
-    try:
-        replayed = restored.fingerprint()
-    finally:
-        for worker in restored.workers:
-            if worker.manager is not None:
-                worker.manager.close()
+    replayed, systems, _audits = _restore_copy(
+        state_dir, workdir / "replay-copy"
+    )
 
     # Phase 3: traffic over the wire.
     packets = ctx.traffic()
     for start in range(0, len(packets), 256):
         client.lookup(packets[start : start + 256])
-    return live, replayed
+    return (live, replayed), systems
+
+
+def _wire_evidence(ctx: _CellContext, client, **facts) -> CellEvidence:
+    """Evidence of a live server: the cell's facts plus its data path."""
+    from repro.serve.chaos import shard_load_rows
+
+    return CellEvidence(
+        cell=ctx.cell,
+        reference=ctx.reference,
+        provenance=ctx.provenance,
+        lookup_fn=client.lookup,
+        acked_prefixes=ctx.acked_prefixes(),
+        acked_updates=ctx.acked_updates,
+        shed_updates=ctx.shed_updates,
+        external_updates=ctx.fault.external_updates,
+        shard_loads=shard_load_rows(client.stats().get("shards", [])),
+        **facts,
+    )
 
 
 # -- in-process network serve executor -----------------------------------
@@ -395,41 +439,24 @@ def _run_serve(cell: Cell, workdir: Path, shard_count: int) -> CellEvidence:
         for worker in shards.workers:
             worker.system.attach_faults(engine_schedule)
 
-    evidence_systems = [worker.system for worker in shards.workers]
     with ServerThread(shards, ServeConfig()) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
-            replay = _wire_phases(ctx, client, state_dir, workdir)
+            replay, _restored = _wire_phases(ctx, client, state_dir, workdir)
 
             # Phase 4: healing audit, directly on the in-process shards.
             if ctx.fault.self_heal:
                 for worker in shards.workers:
                     worker.system.verify_chips(repair=True)
 
-            from repro.serve.chaos import shard_load_rows
-
-            # Judgement needs the live server: collect the differential
-            # evidence now, against the network data path.
-            evidence = CellEvidence(
-                cell=cell,
-                reference=ctx.reference,
-                provenance=ctx.provenance,
-                lookup_fn=client.lookup,
-                systems=evidence_systems,
-                acked_prefixes=ctx.acked_prefixes(),
-                acked_updates=ctx.acked_updates,
-                shed_updates=ctx.shed_updates,
-                external_updates=ctx.fault.external_updates,
+            # The live shards are in-process: judge them, not the copy.
+            evidence = _wire_evidence(
+                ctx,
+                client,
+                systems=[worker.system for worker in shards.workers],
                 replay=replay,
-                shard_loads=shard_load_rows(shards.stats()),
             )
-            evidence.prechecked = {
-                name: verdict
-                for name, verdict in (
-                    ("zero-acked-loss", _precheck(evidence, "zero-acked-loss")),
-                    ("lpm-equivalence", _precheck(evidence, "lpm-equivalence")),
-                )
-            }
+            _precheck_data_path(evidence)
         finally:
             client.close()
     # The drain (ServerThread exit) checkpointed and closed each journal;
@@ -439,15 +466,7 @@ def _run_serve(cell: Cell, workdir: Path, shard_count: int) -> CellEvidence:
         for worker in shards.workers
         if worker.manager is not None
     ]
-    evidence.lookup_fn = None  # the server is gone; prechecks stand in
     return evidence
-
-
-def _precheck(evidence: CellEvidence, oracle_name: str) -> OracleVerdict:
-    """Run one network-dependent oracle while the server is still up."""
-    from repro.campaign import oracles as oracle_module
-
-    return oracle_module._ORACLES[oracle_name](evidence)
 
 
 # -- multi-process serve executor -----------------------------------------
@@ -461,11 +480,9 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     processes``): updates and traffic travel client → parent front →
     worker, the engine fault schedule rides in via ``--faults``, and the
     drain fans out so each worker checkpoints and exits before the
-    parent does.  Engine-internal oracles (DRed exclusion, chip/state
-    audits) SKIP like the other subprocess topologies — the internals
-    are behind the wire — while replay-fingerprint and storage-audit
-    run for real against the shared journal directory the workers left
-    behind.
+    parent does.  The engine-internal oracles judge the quiesce-point
+    restore, which is fingerprint-equal to the workers at that point;
+    storage-audit judges the journal directory the workers left behind.
     """
     from repro.serve.procs import ProcessFront, ProcessSupervisor, WorkerSpec
     from repro.serve.client import ServeClient
@@ -498,42 +515,19 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     )
     supervisor = ProcessSupervisor(spec, plan.router.boundaries)
     front = ProcessFront(supervisor, ServeConfig())
-    sub_detail = "engine internals live in the worker processes"
     with ServerThread(server=front) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
             # The live fingerprint is cross-process; the replayed one a
             # clean single-process restore of the shared journal
             # directory.  Worker faults fire during the traffic phase.
-            replay = _wire_phases(ctx, client, state_dir, workdir)
-
-            from repro.serve.chaos import shard_load_rows
-
-            # Judgement needs the live cluster: collect the differential
-            # evidence now.  The per-range hit counters arrive merged
-            # from the worker STATS snapshots — the same rows the
-            # reshard policy reads.
-            evidence = CellEvidence(
-                cell=cell,
-                reference=ctx.reference,
-                provenance=ctx.provenance,
-                lookup_fn=client.lookup,
-                acked_prefixes=ctx.acked_prefixes(),
-                acked_updates=ctx.acked_updates,
-                shed_updates=ctx.shed_updates,
-                external_updates=ctx.fault.external_updates,
-                replay=replay,
-                shard_loads=shard_load_rows(client.stats()["shards"]),
+            replay, restored = _wire_phases(ctx, client, state_dir, workdir)
+            # The per-range hit counters arrive merged from the worker
+            # STATS snapshots — the same rows the reshard policy reads.
+            evidence = _wire_evidence(
+                ctx, client, systems=restored, replay=replay
             )
-            evidence.prechecked = {
-                "zero-acked-loss": _precheck(evidence, "zero-acked-loss"),
-                "lpm-equivalence": _precheck(evidence, "lpm-equivalence"),
-                "dred-exclusion": OracleVerdict(
-                    "dred-exclusion", SKIP, sub_detail
-                ),
-                "chip-audit": OracleVerdict("chip-audit", SKIP, sub_detail),
-                "state-audit": OracleVerdict("state-audit", SKIP, sub_detail),
-            }
+            _precheck_data_path(evidence)
         finally:
             client.close()
     # The drain (ServerThread exit) fanned out to every worker: each
@@ -549,89 +543,68 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
         finally:
             manager.close()
     evidence.storage_audits = audits
-    evidence.lookup_fn = None  # the cluster is gone; prechecks stand in
     return evidence
 
 
-# -- subprocess HA executor ----------------------------------------------
+# -- subprocess drill executors ------------------------------------------
+
+
+def _run_drill(
+    cell: Cell,
+    workdir: Path,
+    drill: Callable[..., Tuple[int, Path]],
+) -> CellEvidence:
+    """Run one process-level drill and gather evidence from its survivor.
+
+    The drill (:mod:`repro.serve.chaos`) drives the cell's update batches
+    across its kills and returns the port and state directory of the
+    serving primary it leaves behind.  Its fingerprint is taken first —
+    lookups legitimately mutate the DRed LRU outside the journal — then
+    a copy of its state directory is restored in-process: the copy is
+    fingerprint-equal to the survivor, so the engine-internal and
+    storage oracles judging the copy judge the survivor.
+    """
+    from repro.serve.chaos import ChaosConfig, Cluster
+
+    ctx = _CellContext(cell)
+    with Cluster(
+        ChaosConfig(chips=cell.budget.chips),
+        cell.id.replace("/", "_"),
+        workdir,
+        ctx.routes,
+        ctx.update_batches(),
+        on_ack=ctx.mirror,
+        probes=ctx.traffic(),
+        backend=cell.backend,
+    ) as cluster:
+        port, state_dir = drill(cluster, ctx)
+        client = cluster.ha_client(port)
+        try:
+            client.flush()
+            live = client.fingerprint()
+            replayed, systems, audits = _restore_copy(
+                state_dir, workdir / "replay-copy"
+            )
+            evidence = _wire_evidence(
+                ctx,
+                client,
+                systems=systems,
+                replay=(live, replayed),
+                storage_audits=audits,
+            )
+            _precheck_data_path(evidence)
+        finally:
+            client.close()
+    return evidence
 
 
 def _run_ha(cell: Cell, workdir: Path) -> CellEvidence:
-    """``ha``: primary + backup subprocesses, SIGKILL mid-drive."""
-    from repro.serve.chaos import ChaosConfig, ChaosError, run_cell
+    """``ha``: primary + backup subprocesses, killed by the fault schedule."""
+    from repro.serve.chaos import run_cell
 
-    ctx = _CellContext(cell)
-    budget = cell.budget
-    config = ChaosConfig(
-        seed=cell.seed,
-        rib_size=budget.rib_size,
-        shards=2,
-        chips=budget.chips,
-        batches=ctx.batches,
-        batch_size=budget.batch_size,
-        sample_addresses=budget.sample_addresses,
-        workdir=workdir,
+    return _run_drill(
+        cell, workdir, lambda cluster, ctx: run_cell(cluster, ctx.schedule)
     )
-    # The chaos cluster regenerates the identical RIB from config.seed;
-    # hand it the workload profile's update stream over those routes.
-    generator = ctx.workload.update_generator(ctx.routes, cell.seed + 1)
-    try:
-        result = run_cell(
-            config,
-            workdir,
-            cell.id.replace("/", "_"),
-            ctx.schedule,
-            generator=generator,
-            backend=cell.backend,
-        )
-    except ChaosError as exc:
-        raise RuntimeError(str(exc)) from exc
-    detail = (
-        f"{result.acked_updates} acked updates across "
-        f"{result.failovers} failover(s)"
-    )
-    sub_detail = "engine internals died with the killed process"
-    prechecked = {
-        "zero-acked-loss": OracleVerdict(
-            "zero-acked-loss",
-            PASS,
-            f"survivor serves every acked update ({detail})",
-        ),
-        "lpm-equivalence": OracleVerdict(
-            "lpm-equivalence",
-            PASS,
-            f"{result.checked_addresses} sampled addresses match the "
-            f"reference trie ({result.skipped_addresses} indeterminate "
-            f"skipped)",
-        ),
-        "replay-fingerprint": OracleVerdict(
-            "replay-fingerprint",
-            PASS if result.fingerprint_match else FAIL,
-            "survivor fingerprint equals clean replay of its journal"
-            if result.fingerprint_match
-            else "survivor fingerprint diverged from clean replay",
-        ),
-        "dred-exclusion": OracleVerdict("dred-exclusion", SKIP, sub_detail),
-        "chip-audit": OracleVerdict("chip-audit", SKIP, sub_detail),
-        "state-audit": OracleVerdict("state-audit", SKIP, sub_detail),
-        "storage-audit": OracleVerdict(
-            "storage-audit",
-            PASS,
-            "survivor's epoch journal restored cleanly (replay check)",
-        ),
-    }
-    evidence = CellEvidence(
-        cell=cell,
-        reference=ctx.reference,
-        provenance=ctx.provenance,
-        acked_updates=result.acked_updates,
-        prechecked=prechecked,
-    )
-    evidence.shed_updates = 0
-    return evidence
-
-
-# -- subprocess live-resharding executor ---------------------------------
 
 
 def _run_reshard(cell: Cell, workdir: Path) -> CellEvidence:
@@ -640,86 +613,13 @@ def _run_reshard(cell: Cell, workdir: Path) -> CellEvidence:
     The cell seed picks which migration stage eats the SIGKILL, so a
     matrix with a few reshard cells covers rollback (``copy``,
     ``catchup``) and roll-forward (``cutover``) deterministically.
-    The drill itself (:func:`repro.serve.chaos.run_reshard_cell`)
-    asserts the three standing invariants across the topology-epoch
-    boundary plus the post-split topology; like ``ha``, the verdicts
-    arrive prechecked because the evidence lives in subprocesses.
     """
-    from repro.serve.chaos import (
-        RESHARD_KILL_STAGES,
-        ChaosConfig,
-        ChaosError,
-        run_reshard_cell,
-    )
+    from repro.serve.chaos import RESHARD_KILL_STAGES, run_reshard_cell
 
-    ctx = _CellContext(cell)
-    budget = cell.budget
-    kill_stage = RESHARD_KILL_STAGES[cell.seed % len(RESHARD_KILL_STAGES)]
-    config = ChaosConfig(
-        seed=cell.seed,
-        rib_size=budget.rib_size,
-        shards=2,
-        chips=budget.chips,
-        batches=ctx.batches,
-        batch_size=budget.batch_size,
-        sample_addresses=budget.sample_addresses,
-        workdir=workdir,
+    stage = RESHARD_KILL_STAGES[cell.seed % len(RESHARD_KILL_STAGES)]
+    return _run_drill(
+        cell, workdir, lambda cluster, _ctx: run_reshard_cell(cluster, stage)
     )
-    generator = ctx.workload.update_generator(ctx.routes, cell.seed + 1)
-    try:
-        result = run_reshard_cell(
-            config,
-            workdir,
-            cell.id.replace("/", "_"),
-            kill_stage,
-            generator=generator,
-            backend=cell.backend,
-        )
-    except ChaosError as exc:
-        raise RuntimeError(str(exc)) from exc
-    sub_detail = "engine internals died with the killed process"
-    prechecked = {
-        "zero-acked-loss": OracleVerdict(
-            "zero-acked-loss",
-            PASS,
-            f"post-split server serves every acked update "
-            f"({result.acked_updates} acked across the {kill_stage!r}-stage "
-            f"kill)",
-        ),
-        "lpm-equivalence": OracleVerdict(
-            "lpm-equivalence",
-            PASS,
-            f"{result.checked_addresses} sampled addresses match the "
-            f"reference trie on the post-migration topology "
-            f"({result.skipped_addresses} indeterminate skipped)",
-        ),
-        "replay-fingerprint": OracleVerdict(
-            "replay-fingerprint",
-            PASS if result.fingerprint_match else FAIL,
-            "post-migration fingerprint equals clean replay across the "
-            "epoch boundary"
-            if result.fingerprint_match
-            else "post-migration fingerprint diverged from clean replay",
-        ),
-        "dred-exclusion": OracleVerdict("dred-exclusion", SKIP, sub_detail),
-        "chip-audit": OracleVerdict("chip-audit", SKIP, sub_detail),
-        "state-audit": OracleVerdict("state-audit", SKIP, sub_detail),
-        "storage-audit": OracleVerdict(
-            "storage-audit",
-            PASS,
-            "epoch-resolved journal restored cleanly (replay check)",
-        ),
-    }
-    evidence = CellEvidence(
-        cell=cell,
-        reference=ctx.reference,
-        provenance=ctx.provenance,
-        acked_updates=result.acked_updates,
-        prechecked=prechecked,
-        shard_loads=result.shard_loads,
-    )
-    evidence.shed_updates = 0
-    return evidence
 
 
 # -- campaign driver -----------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine.fastlpm import LOOKUP_BACKENDS
 from repro.faults.profiles import FAULT_PROFILES
+from repro.faults.schedule import FaultKind
 from repro.workload.profiles import WORKLOADS, file_workload, is_file_workload
 
 PathLike = Union[str, Path]
@@ -37,11 +38,14 @@ PathLike = Union[str, Path]
 #: :class:`PersistenceManager`; ``serve-1``/``serve-2`` run a real
 #: in-process TCP server over a journaled 1- or 2-shard
 #: :class:`ShardSet`; ``ha`` spawns a primary + backup subprocess pair
-#: and SIGKILLs the primary (the chaos cell); ``reshard`` spawns one
-#: durable primary, splits a shard under live load, and SIGKILLs the
-#: server mid-migration at a seed-chosen stage (DESIGN.md §14).
-#: ``serve-2proc`` is the multi-process serving plane: two shard worker
-#: *processes* behind a parent front (``serve --workers processes``).
+#: and fires the fault profile's process kills into the update stream;
+#: ``reshard`` spawns one durable primary, splits a shard under live
+#: load, and SIGKILLs the server mid-migration at a seed-chosen stage
+#: (DESIGN.md §14).  ``serve-2proc`` is the multi-process serving plane:
+#: two shard worker *processes* behind a parent front (``serve --workers
+#: processes``).  Every topology is judged by all seven oracles; where
+#: the engines live in subprocesses, the engine-internal ones judge an
+#: in-process restore fingerprint-equal to the live server.
 TOPOLOGIES = (
     "inproc",
     "inproc-durable",
@@ -169,12 +173,6 @@ class CampaignSpec:
     ) -> Optional[str]:
         """The rule removing this combination, or ``None`` if runnable."""
         profile = FAULT_PROFILES[fault]
-        if is_file_workload(workload) and topology in ("ha", "reshard"):
-            return (
-                "ha/reshard drills boot a chaos cluster that regenerates "
-                "its RIB from the cell seed; file-sourced workloads "
-                "cannot cross that subprocess boundary yet"
-            )
         if profile.process_level and topology not in ("ha", "reshard"):
             return (
                 "process-kill faults only exist at the process level; "
@@ -189,6 +187,14 @@ class CampaignSpec:
             return (
                 "the reshard drill's one fault is its staged mid-migration "
                 "SIGKILL; it needs a process-kill fault profile"
+            )
+        if topology == "reshard" and any(
+            event.kind is FaultKind.KILL_BACKUP
+            for event in profile.build(0, 1, 4).process_kills()
+        ):
+            return (
+                "the reshard drill runs one server and no backup; "
+                "backup-kill profiles need the ha topology"
             )
         if not profile.journal_safe and topology in DURABLE_TOPOLOGIES:
             return (

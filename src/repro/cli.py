@@ -557,7 +557,8 @@ def _cmd_serve_processes(args: argparse.Namespace) -> int:
         if schedule.has_process_kills:
             raise ValueError(
                 "--faults schedules with kill-primary/kill-backup events "
-                "belong to 'repro-clue chaos'"
+                "belong to the campaign's ha/reshard topologies "
+                "('repro-clue campaign')"
             )
         if args.journal and schedule.has_storms:
             raise ValueError(
@@ -661,7 +662,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if schedule.has_process_kills:
                 raise ValueError(
                     "--faults schedules with kill-primary/kill-backup "
-                    "events belong to 'repro-clue chaos'; strip them with "
+                    "events belong to the campaign's ha/reshard "
+                    "topologies ('repro-clue campaign'); strip them with "
                     "FaultSchedule.engine_only() first"
                 )
             if args.journal and schedule.has_storms:
@@ -794,33 +796,6 @@ def _cmd_reshard(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 1
     return 0 if stage == "done" else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the cluster chaos campaign against real server processes."""
-    from repro.serve.chaos import ChaosConfig, run_campaign
-
-    config = ChaosConfig(
-        quick=args.quick,
-        seed=args.seed,
-        workdir=args.workdir,
-    )
-    results = run_campaign(config, scenarios=args.scenario or None)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            json.dump(
-                [result.as_dict() for result in results],
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    failed = [result for result in results if not result.ok]
-    print(
-        f"chaos: {len(results) - len(failed)}/{len(results)} scenarios ok"
-    )
-    return 1 if failed else 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -1414,30 +1389,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="dial retries (jittered exponential backoff) before failing",
     )
     reshard.set_defaults(handler=_cmd_reshard)
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="kill-and-verify campaign against real replica processes",
-    )
-    chaos.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI-sized run: smaller RIB, fewer batches",
-    )
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument(
-        "--workdir",
-        help="keep scenario state under this directory (default: a "
-        "temporary directory, removed afterwards)",
-    )
-    chaos.add_argument(
-        "--scenario",
-        action="append",
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    chaos.add_argument("-o", "--output", help="write the JSON verdicts")
-    chaos.set_defaults(handler=_cmd_chaos)
 
     campaign = commands.add_parser(
         "campaign",

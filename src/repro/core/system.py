@@ -301,9 +301,10 @@ class ClueSystem:
         belongs to each chip whose range it covers).  Three kinds of drift
         are detected — wrong next hop (e.g. injected slot corruption),
         stray entries, and missing entries — and repaired in place when
-        ``repair`` is true.  ``chips=None`` audits everything; pass a
-        subset (or use :meth:`audit_step`) to spread the scan over idle
-        windows.
+        ``repair`` is true, deleting each repaired prefix from every DRed
+        so no cached copy of the drifted entry outlives the repair.
+        ``chips=None`` audits everything; pass a subset (or use
+        :meth:`audit_step`) to spread the scan over idle windows.
         """
         chip_count = self.config.engine.chip_count
         targets = sorted(set(chips if chips is not None else range(chip_count)))
@@ -315,6 +316,7 @@ class ClueSystem:
                 if chip_index in target_set:
                     expected[chip_index][prefix] = hop
         report = ChipAuditReport(chips_checked=targets)
+        repaired = set()
         for chip_index in targets:
             chip = self.engine.chips[chip_index]
             actual = chip.table.as_dict()
@@ -324,19 +326,28 @@ class ClueSystem:
                 stored = actual.get(prefix)
                 if stored is None:
                     report.missing_restored += 1
-                    if repair:
-                        chip.table.insert(prefix, hop)
+                    repaired.add(prefix)
                 elif stored != hop:
                     report.hops_repaired += 1
-                    if repair:
-                        chip.table.insert(prefix, hop)
+                    repaired.add(prefix)
+                else:
+                    continue
+                if repair:
+                    chip.table.insert(prefix, hop)
             for prefix in actual:
                 if prefix not in wanted:
                     report.stray_removed += 1
+                    repaired.add(prefix)
                     if repair:
                         chip.table.delete(prefix)
         if repair:
             self.audit_repairs += report.repairs
+            # Lookups may have cached a drifted entry in some DRed; a
+            # repaired prefix just gets deleted there, as in TTF3.
+            for chip in self.engine.chips:
+                if chip.dred is not None:
+                    for prefix in repaired:
+                        chip.dred.delete(prefix)
         return report
 
     def audit_step(self, repair: bool = True) -> ChipAuditReport:

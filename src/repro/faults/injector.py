@@ -106,8 +106,8 @@ class FaultInjector:
         elif event.kind in (FaultKind.KILL_PRIMARY, FaultKind.KILL_BACKUP):
             raise ValueError(
                 f"{event.kind.value} is a process-level fault; strip it "
-                f"with FaultSchedule.engine_only() — only the chaos "
-                f"runner may execute it"
+                f"with FaultSchedule.engine_only() — only the campaign's "
+                f"ha/reshard topologies may execute it"
             )
         else:  # pragma: no cover - exhaustive over FaultKind
             raise ValueError(f"unknown fault kind {event.kind!r}")

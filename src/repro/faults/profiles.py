@@ -5,9 +5,10 @@ shape so a campaign cell can say ``fault = "chip-flap"`` instead of
 hand-building event lists.  Engine-level events are pinned to small
 absolute cycles (every profile fires within the first few hundred
 engine cycles, so even a 1k-packet smoke cell exercises it); the
-process-level ``kill-primary`` profile pins its kill to the middle of
-the *driving horizon* — the HA runner interprets that cycle as an
-update-batch index, exactly like the chaos scenarios.
+process-level profiles (``kill-primary``, ``kill-backup``,
+``kill-promoting``) pin their kills to fractions of the *driving
+horizon* — the drills in :mod:`repro.serve.chaos` read each kill's cycle
+as the update-batch index it fires before.
 
 Profile flags tell the campaign expansion what a combination can
 legally promise:
@@ -21,8 +22,8 @@ legally promise:
 * ``self_heal=True`` — the runner schedules a ``verify_chips`` repair
   pass (the PR 1 self-healing audit) before the oracles run, modelling
   a production box whose background audit is on;
-* ``process_level=True`` — only the chaos/HA runner may execute it
-  (the in-engine injector refuses process kills).
+* ``process_level=True`` — only the ``ha``/``reshard`` drills may
+  execute it (the in-engine injector refuses process kills).
 
 ``corrupt-silent`` is the deliberately-broken seed the acceptance
 criteria demand: same corruption as ``corrupt`` but with the healing
@@ -52,7 +53,7 @@ class FaultProfile:
     external_updates: bool = False
     #: True: the runner repairs chips (verify_chips) before oracles.
     self_heal: bool = False
-    #: True: contains process kills — only the HA/chaos runner applies.
+    #: True: contains process kills — only the ha/reshard drills apply.
     process_level: bool = False
 
     def build(self, seed: int, chip_count: int, horizon: int) -> FaultSchedule:
@@ -91,8 +92,8 @@ def _storm(seed: int, chips: int, horizon: int) -> FaultSchedule:
 
 
 def _kill_primary(seed: int, chips: int, horizon: int) -> FaultSchedule:
-    # Engine faults ride along (the chaos mid-storm composition); the
-    # kill lands mid-horizon, while updates are still in flight.
+    # Engine faults ride along on the primary; the kill lands
+    # mid-horizon, while updates are still in flight.
     return (
         FaultSchedule(seed=seed)
         .chip_down(40, 0)
@@ -100,6 +101,23 @@ def _kill_primary(seed: int, chips: int, horizon: int) -> FaultSchedule:
         .stall(200, chips - 1, 16)
         .kill_primary(max(2, horizon // 2))
     )
+
+
+def _kill_backup(seed: int, chips: int, horizon: int) -> FaultSchedule:
+    # The backup dies a quarter in and a fresh one re-bootstraps; the
+    # primary dies three quarters in, failing over onto the fresh one.
+    return (
+        FaultSchedule(seed=seed)
+        .kill_backup(max(1, horizon // 4))
+        .kill_primary(max(2, 3 * horizon // 4))
+    )
+
+
+def _kill_promoting(seed: int, chips: int, horizon: int) -> FaultSchedule:
+    # Both at mid-horizon, primary first: the backup dies while it
+    # promotes, and its epoch journal must restore a serving primary.
+    kill_at = max(2, horizon // 2)
+    return FaultSchedule(seed=seed).kill_primary(kill_at).kill_backup(kill_at)
 
 
 FAULT_PROFILES: Dict[str, FaultProfile] = {
@@ -143,6 +161,20 @@ FAULT_PROFILES: Dict[str, FaultProfile] = {
             name="kill-primary",
             description="SIGKILL the primary mid-drive, chip faults armed",
             _build=_kill_primary,
+            process_level=True,
+        ),
+        FaultProfile(
+            name="kill-backup",
+            description="SIGKILL the backup, re-bootstrap a fresh one, "
+            "then SIGKILL the primary",
+            _build=_kill_backup,
+            process_level=True,
+        ),
+        FaultProfile(
+            name="kill-promoting",
+            description="SIGKILL the primary, then the backup while it "
+            "promotes; restore the backup's epoch journal",
+            _build=_kill_promoting,
             process_level=True,
         ),
     )

@@ -40,7 +40,7 @@ class FaultKind(Enum):
     STALL = "stall"
     STORM = "storm"
     #: Process-level kills (SIGKILL a whole replica).  These are *cluster*
-    #: faults: the chaos runner interprets them against live server
+    #: faults: the campaign's ha/reshard drills fire them at live server
     #: processes; the in-engine injector refuses them, and
     #: :meth:`FaultSchedule.engine_only` strips them before a schedule is
     #: handed to ``--faults``.
@@ -48,7 +48,7 @@ class FaultKind(Enum):
     KILL_BACKUP = "kill-backup"
 
 
-#: Kinds the chaos runner executes against processes, not the engine.
+#: Kinds the process-level drills execute against processes, not the engine.
 PROCESS_KINDS = frozenset({FaultKind.KILL_PRIMARY, FaultKind.KILL_BACKUP})
 
 
@@ -162,7 +162,7 @@ class FaultSchedule:
         return any(event.kind in PROCESS_KINDS for event in self.events)
 
     def process_kills(self) -> List[FaultEvent]:
-        """The process-level events, in cycle order (chaos runner input)."""
+        """The process-level events, in cycle order (the drills' input)."""
         return [e for e in self.events if e.kind in PROCESS_KINDS]
 
     def engine_only(self) -> "FaultSchedule":

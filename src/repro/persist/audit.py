@@ -13,7 +13,11 @@ simulator runs — the auditor re-proves the contract:
   exactly the entries its ranges imply (drift detected via
   ``verify_chips(repair=False)``), and the per-chip spread stays within a
   tolerance;
-* **dred-exclusion** — DRed *i* never caches a prefix chip *i* owns.
+* **dred-exclusion** — DRed *i* never caches a prefix chip *i* owns;
+* **dred-fresh** — every DRed entry ``(p, hop, owner)`` still matches the
+  compressed table's entry for ``p``, and chip ``owner`` still holds
+  ``p``: a changed prefix's cached copy "just gets deleted" (TTF3), so a
+  stale one is an update-path bug that answers with the wrong hop.
 
 :meth:`InvariantAuditor.run` performs the full pass (the restore path);
 :meth:`InvariantAuditor.step` spends a bounded budget on one check at a
@@ -33,7 +37,13 @@ from repro.net.prefix import ADDRESS_SPACE
 from repro.trie.trie import BinaryTrie
 
 #: Check names in rotation order for the incremental form.
-AUDIT_CHECKS = ("disjoint", "equivalence", "partition", "dred-exclusion")
+AUDIT_CHECKS = (
+    "disjoint",
+    "equivalence",
+    "partition",
+    "dred-exclusion",
+    "dred-fresh",
+)
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,7 @@ class InvariantAuditor:
         report.merge(self._check_equivalence(self.sample_size))
         report.merge(self._check_partition(chips=None))
         report.merge(self._check_dred_exclusion())
+        report.merge(self._check_dred_fresh())
         if halt and not report.ok:
             raise InvariantViolationError(report)
         return report
@@ -127,7 +138,7 @@ class InvariantAuditor:
         """Run the next check in rotation, bounded by ``budget``.
 
         ``budget`` caps the sampled addresses of the equivalence check;
-        the partition check audits a single chip per step.  Four steps
+        the partition check audits a single chip per step.  Five steps
         cover the whole rotation.
         """
         if budget < 1:
@@ -144,8 +155,10 @@ class InvariantAuditor:
                 chip + 1
             ) % self.system.config.engine.chip_count
             report = self._check_partition(chips=[chip])
-        else:
+        elif check == "dred-exclusion":
             report = self._check_dred_exclusion()
+        else:
+            report = self._check_dred_fresh()
         if halt and not report.ok:
             raise InvariantViolationError(report)
         return report
@@ -270,4 +283,32 @@ class InvariantAuditor:
                     "a DRed bank caches a prefix its own chip serves",
                 )
             )
+        return report
+
+    def _check_dred_fresh(self) -> AuditReport:
+        report = AuditReport(checks_run=["dred-fresh"])
+        table = self._table().table
+        chips = self.system.engine.chips
+        for chip in chips:
+            if chip.dred is None:
+                continue
+            for prefix, entry in chip.dred._entries.items():
+                report.entries_checked += 1
+                expected = table.get(prefix)
+                if entry.next_hop != expected:
+                    problem = (
+                        f"caches hop {entry.next_hop}, compressed table "
+                        f"says {expected}"
+                    )
+                elif chips[entry.owner].table.get(prefix) is None:
+                    problem = f"owner chip {entry.owner} no longer holds it"
+                else:
+                    continue
+                report.violations.append(
+                    InvariantViolation(
+                        "dred-fresh",
+                        f"DRed {chip.index} entry {prefix}: {problem}",
+                    )
+                )
+                return report
         return report

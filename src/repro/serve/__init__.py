@@ -10,7 +10,8 @@ For high availability (DESIGN.md §12) a primary ships its committed
 journal to a :class:`~repro.serve.replicate.BackupReplica`
 (``--replicate-to`` / ``--backup``); clients wrap a
 :class:`~repro.serve.router.ReplicaMap` in an :class:`HAClient` and
-survive a primary kill transparently.  ``repro-clue chaos`` proves it.
+survive a primary kill transparently.  The campaign's ``ha`` cells
+prove it (:mod:`repro.serve.chaos`).
 
 Live resharding (DESIGN.md §14): a serving primary splits a hot shard
 or merges cold neighbours **without stopping**, through the journaled

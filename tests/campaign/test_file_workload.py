@@ -1,4 +1,4 @@
-"""`file:` workloads in campaign cells: provenance, exclusion, validation."""
+"""`file:` workloads in campaign cells: provenance, validation, drills."""
 
 import json
 
@@ -155,13 +155,15 @@ class TestFileWorkloadSpec:
         with pytest.raises(SpecError):
             spec_from_dict(self._spec_dict(f"file:{tmp_path}/nope"))
 
-    def test_ha_topology_is_structurally_excluded(self, workload_dir):
-        spec = spec_from_dict(
-            self._spec_dict(f"file:{workload_dir}", topologies=["ha"])
-        )
-        selected, excluded = spec.expand()
-        assert not selected
-        assert excluded and "chaos cluster" in excluded[0][1]
+    def test_ha_cell_runs_and_passes(self, workload_dir, tmp_path):
+        data = self._spec_dict(f"file:{workload_dir}", topologies=["ha"])
+        data["matrix"]["faults"] = ["kill-primary"]
+        [cell], excluded = spec_from_dict(data).expand()
+        assert not excluded
+        result = execute_cell(cell, tmp_path)
+        assert result.ok, result.as_dict()
+        assert {v.status for v in result.verdicts} == {"pass"}
+        assert result.workload_provenance["table"]["sha256"]
 
     def test_campaign_run_records_provenance_everywhere(
         self, workload_dir, tmp_path

@@ -1,8 +1,9 @@
-"""Cell executors and the campaign driver (no subprocess topologies —
-the ha executor is exercised by the committed smoke subset in CI)."""
+"""Cell executors and the campaign driver (the other ha/reshard cells
+run in CI's ``campaign-smoke`` job, subsets ``smoke`` and ``drills``)."""
 
 import pytest
 
+from repro.campaign.oracles import ORACLE_NAMES
 from repro.campaign.report import render_markdown, write_json
 from repro.campaign.runner import execute_cell, run_campaign
 from repro.campaign.spec import Cell, CellBudget, spec_from_dict
@@ -68,6 +69,35 @@ def test_serve_cell_runs_a_real_server(tmp_path):
     assert statuses["lpm-equivalence"] == "pass"
     assert statuses["replay-fingerprint"] == "pass"
     assert statuses["storage-audit"] == "pass"
+
+
+def test_kill_promoting_ha_cell_passes_every_oracle(tmp_path):
+    """Kill the primary, kill the backup while it promotes, restore the
+    backup's epoch journal; the restored server takes the rest of the
+    stream and all seven oracles judge it — none skips."""
+    result = execute_cell(
+        _cell(topology="ha", fault="kill-promoting"), tmp_path
+    )
+    assert result.ok, result.as_dict()
+    assert [(v.name, v.status) for v in result.verdicts] == [
+        (name, "pass") for name in ORACLE_NAMES
+    ]
+    assert result.acked_updates == BUDGET.updates
+
+
+def test_reshard_drill_excludes_backup_kills():
+    spec = spec_from_dict(
+        {
+            "matrix": {
+                "faults": ["kill-primary", "kill-backup", "kill-promoting"],
+                "topologies": ["reshard"],
+            }
+        }
+    )
+    selected, excluded = spec.expand()
+    assert [cell.fault for cell in selected] == ["kill-primary"]
+    assert all("no backup" in reason for _cell_id, reason in excluded)
+    assert len(excluded) == 2
 
 
 def test_executor_errors_are_captured_not_raised(tmp_path, monkeypatch):

@@ -11,6 +11,8 @@ from repro.persist.audit import (
     InvariantViolationError,
 )
 from repro.workload.ribgen import RibParameters, generate_rib
+from repro.workload.trafficgen import TrafficGenerator
+from repro.workload.updategen import UpdateGenerator
 
 
 @pytest.fixture()
@@ -89,6 +91,27 @@ class TestDetection:
         report = InvariantAuditor(system).run()
         assert any(v.check == "dred-exclusion" for v in report.violations)
 
+    def test_stale_dred_hop_breaks_freshness(self, system):
+        owner = system.engine.chips[0]
+        prefix, hop = first_entry_of(owner)
+        # A cached copy whose hop no longer matches the compressed table.
+        system.engine.chips[1].dred.insert(prefix, hop + 1, owner=0)
+        report = InvariantAuditor(system).run()
+        assert [v.check for v in report.violations] == ["dred-fresh"]
+        assert "caches hop" in report.violations[0].detail
+
+    def test_dred_entry_its_owner_lost_breaks_freshness(self, system):
+        owner = system.engine.chips[0]
+        prefix, hop = first_entry_of(owner)
+        system.engine.chips[1].dred.insert(prefix, hop, owner=0)
+        assert InvariantAuditor(system).run().ok
+        owner.table.delete(prefix)
+        report = InvariantAuditor(system).run()
+        assert any(
+            v.check == "dred-fresh" and "no longer holds" in v.detail
+            for v in report.violations
+        )
+
     def test_halt_raises(self, system):
         system.pipeline.trie_stage.table.table[Prefix(0, 0)] = 9
         with pytest.raises(InvariantViolationError, match="disjoint"):
@@ -96,6 +119,54 @@ class TestDetection:
         with pytest.raises(InvariantViolationError):
             system.audit_invariants(halt=True)
         assert system.recovery_stats.audit_violations > 0
+
+
+class TestDredFreshness:
+    """TTF3: a DRed entry for a changed prefix just gets deleted."""
+
+    @pytest.fixture()
+    def served(self):
+        routes = generate_rib(11, RibParameters(size=2000))
+        system = ClueSystem(
+            routes,
+            SystemConfig(
+                engine=EngineConfig(
+                    chip_count=4, dred_capacity=256, lookup_backend="fast"
+                )
+            ),
+        )
+        return system, routes
+
+    def test_updates_between_lookups_leave_dred_fresh(self, served):
+        system, routes = served
+        updates = UpdateGenerator(routes, seed=12)
+        traffic = TrafficGenerator(routes, seed=13)
+        for _ in range(5):
+            system.apply_updates(updates.take(50))
+            system.process_lookups(traffic.take(1000))
+        assert sum(len(chip.dred) for chip in system.engine.chips) > 0
+        report = system.audit_invariants()
+        assert report.ok, report.summary()
+
+    def test_healing_pass_deletes_drifted_dred_copies(self, served):
+        system, routes = served
+        chip = system.engine.chips[1]
+        prefix, hop = first_entry_of(chip)
+        chip.table.insert(prefix, hop + 1)  # slot corruption
+        traffic = TrafficGenerator(routes, seed=13)
+        for _ in range(3):
+            system.process_lookups([prefix.network] * 8 + traffic.take(64))
+        cached = [
+            other.dred._entries.get(prefix)
+            for other in system.engine.chips
+            if other.dred is not None
+        ]
+        assert any(
+            entry is not None and entry.next_hop == hop + 1 for entry in cached
+        ), "lookups should have cached the corrupted hop"
+        system.verify_chips(repair=True)
+        report = system.audit_invariants()
+        assert report.ok, report.summary()
 
 
 class TestIncrementalForm:

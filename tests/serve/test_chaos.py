@@ -1,10 +1,11 @@
-"""Chaos campaign machinery: process-kill faults and one real scenario.
+"""Process-kill faults and the reference model the drills mirror.
 
-The fault taxonomy gains process-level kills that only the chaos runner
-may execute — the in-engine injector must refuse them, the trace format
-must round-trip them, and ``serve --faults`` must reject them up front.
-One quick scenario runs for real (subprocess replicas and all); the full
-matrix is CI's ``chaos-smoke`` job and ``repro-clue chaos``.
+The fault taxonomy has process-level kills that only the campaign's
+``ha``/``reshard`` drills may execute — the in-engine injector must
+refuse them, the trace format must round-trip them, and ``serve
+--faults`` must reject them up front.  The drills themselves run as
+campaign cells (``tests/campaign/test_runner.py`` and CI's
+``campaign-smoke`` job).
 """
 
 import pytest
@@ -13,11 +14,7 @@ from repro.cli import main
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import PROCESS_KINDS, FaultKind, FaultSchedule
 from repro.net.prefix import Prefix
-from repro.serve.chaos import (
-    ChaosConfig,
-    apply_to_reference,
-    run_campaign,
-)
+from repro.serve.chaos import apply_to_reference
 from repro.trie.trie import BinaryTrie
 from repro.workload.traces import load_faults, save_faults, save_table
 from repro.workload.updategen import UpdateKind, UpdateMessage
@@ -75,7 +72,8 @@ class TestProcessKillFaults:
             ["serve", "--table", str(table), "--faults", str(faults)]
         )
         assert code == 2
-        assert "chaos" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ha/reshard" in err and "campaign" in err
 
     def test_process_kinds_frozen(self):
         assert PROCESS_KINDS == {
@@ -96,26 +94,3 @@ class TestReferenceModel:
             trie, [UpdateMessage(UpdateKind.WITHDRAW, prefix, None, 1.0)]
         )
         assert trie.lookup(prefix.network) is None
-
-
-class TestCampaign:
-    def test_unknown_scenario_is_an_error(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            run_campaign(ChaosConfig(quick=True), scenarios=["no-such"])
-
-    def test_kill_during_promotion_scenario_end_to_end(self, tmp_path):
-        """One real scenario: kill the primary, kill the backup while it
-        promotes, restore the backup's epoch journal, verify all three
-        invariants (zero acked loss, LPM equality, byte-identical
-        replay).  Subprocess replicas bind port 0 and their ports are
-        parsed from the startup line."""
-        config = ChaosConfig(quick=True, workdir=tmp_path / "chaos")
-        results = run_campaign(
-            config, scenarios=["kill-during-promotion"], log=lambda _m: None
-        )
-        assert len(results) == 1
-        result = results[0]
-        assert result.ok, result.detail
-        assert result.acked_batches == config.batches
-        assert result.fingerprint_match is True
-        assert result.checked_addresses > 0

@@ -5,8 +5,9 @@ thread *after* the ``Popen``; if that setup raised (thread limit hit,
 allocation failure), the constructor propagated the exception with the
 child alive and unrecorded — no teardown path knew its PID.  These tests
 pin the fix: a failure anywhere between ``Popen`` and a registered
-process must reap the child before the exception escapes.  The chaos
-drills and the worker supervisor spawn through this one class.
+process must reap the child before the exception escapes.  The
+process-level drills and the worker supervisor spawn through this one
+class.
 """
 
 import threading
@@ -107,9 +108,7 @@ def test_reader_failure_fails_the_port_wait_at_once(monkeypatch):
 
 
 def test_cluster_shutdown_reaps_every_process_despite_errors(tmp_path):
-    cluster = chaos.Cluster(
-        chaos.ChaosConfig(quick=True), "reap-test", tmp_path
-    )
+    cluster = chaos.Cluster(chaos.ChaosConfig(), "reap-test", tmp_path, [])
 
     class FlakyKill:
         def __init__(self, label, fail):
@@ -142,7 +141,7 @@ def test_cluster_is_a_context_manager(tmp_path):
             killed.append(self)
 
     with chaos.Cluster(
-        chaos.ChaosConfig(quick=True), "ctx-test", tmp_path
+        chaos.ChaosConfig(), "ctx-test", tmp_path, []
     ) as cluster:
         cluster.procs.append(Stub())
     assert len(killed) == 1

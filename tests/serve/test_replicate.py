@@ -2,9 +2,9 @@
 
 Every test runs a real primary/backup pair of :class:`ServerThread`
 instances over loopback TCP — the same wire protocol, framing and
-promotion state machine the cluster chaos campaign exercises with full
+promotion state machine the campaign's ``ha`` cells exercise with full
 processes, minus the SIGKILL (that part only exists at process level
-and lives in ``repro-clue chaos``).
+and lives in :mod:`repro.serve.chaos`).
 """
 
 import time

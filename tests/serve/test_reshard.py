@@ -1,7 +1,7 @@
 """Live resharding: planning, the staged migration, crash resolution.
 
-The chaos drills (``repro-clue chaos --scenario reshard-split-*``) cover
-the subprocess SIGKILL matrix; these tests pin the in-process contract —
+The campaign's ``reshard`` cells (one per SIGKILLed migration stage)
+cover the subprocess kill matrix; these tests pin the in-process contract —
 plan geometry, the coordinator's stage machine, the journaled
 crash-resume matrix, and the server RPC wiring.
 """
