@@ -9,13 +9,14 @@ this cell, e.g. replay verification on a topology that keeps no
 journal).  A skip is not a weaker pass: the report shows it, so a matrix
 that silently never exercises an invariant is visible at a glance.
 
-Ordering contract the executors uphold: replay fingerprints are captured
-at the post-update quiesce point *before* any traffic or verification
-lookup runs, because lookups legitimately mutate the DRed LRU outside
-the journal; and differential oracles (reference-trie comparisons) only
-apply when every table mutation flowed through the acked update stream
-— fault profiles that inject updates behind the driver's back
-(``external_updates``) switch them to skip.
+Contract the executors uphold: the replay pair is the last thing a cell
+captures — after traffic and after any healing pass, at a flushed
+quiesce point — since the state fingerprint covers only what the
+journal determines (DRed is a prefix cache, checked against the table
+by ``dred-fresh`` instead); and differential oracles (reference-trie
+comparisons) only apply when every table mutation flowed through the
+acked update stream — fault profiles that inject updates behind the
+driver's back (``external_updates``) switch them to skip.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class CellEvidence:
     ``systems`` holds per-shard :class:`ClueSystem` objects: the live
     ones for in-process topologies, and for topologies whose engines
     live in subprocesses an in-process restore of a copy of the state
-    directory that is fingerprint-equal to the live server (the state
-    fingerprint covers chip tables and DRed content).  ``lookup_fn`` is
+    directory that is fingerprint-equal to the live server (equal
+    tables, placement, chip liveness and scheduler state; its DReds
+    start cold).  ``lookup_fn`` is
     the cell's *data path* — ``process_lookups`` or a network client —
     never the control-plane trie, so chip-level corruption stays
     visible.  ``reference`` mirrors the initial RIB plus exactly the
@@ -89,7 +91,7 @@ class CellEvidence:
     acked_updates: int = 0
     shed_updates: int = 0
     external_updates: bool = False
-    #: ``(live, replay)`` state fingerprints at the quiesce point.
+    #: ``(live, replay)`` state fingerprints at the end of the cell.
     replay: Optional[Tuple[str, str]] = None
     storage_audits: List[StorageAudit] = field(default_factory=list)
     prechecked: Dict[str, OracleVerdict] = field(default_factory=dict)

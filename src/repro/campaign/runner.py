@@ -1,31 +1,30 @@
 """Campaign execution: one executor per topology, one oracle layer for all.
 
-Every executor follows the same phase discipline, because two of the
-oracles are order-sensitive:
+Every executor follows the same phases:
 
 1. **Update phase** — the workload profile's update stream is driven
    through the topology's *acked* entry point (journaled offers for
    durable cells), each accepted update mirrored onto the reference
    trie, then the cell is quiesced (drain/flush) so nothing is left
    half-applied in a queue.
-2. **Replay checkpoint** — durable cells capture the live state
-   fingerprint and the fingerprint of a clean restore over a *copy* of
-   the state directory, *before any traffic*: lookups legitimately
-   mutate the DRed LRU outside the journal, so this is the last moment
-   byte-identical replay is a valid demand.
-3. **Traffic phase** — the workload profile's packet stream runs
+2. **Traffic phase** — the workload profile's packet stream runs
    through the data path, advancing engine cycles so the armed fault
    schedule actually fires.
-4. **Heal (optional)** — profiles modelling a box with its background
+3. **Heal (optional)** — profiles modelling a box with its background
    audit on (``self_heal``) run one ``verify_chips`` repair pass.
+4. **Replay pair** — durable cells flush, take the live state
+   fingerprint, and restore a *copy* of the state directory: the two
+   fingerprints must match.  The fingerprint covers only what the
+   journal determines (DRed is soft state), so traffic before it is
+   fine.
 5. **Judgement** — the shared oracle layer (:mod:`repro.campaign.oracles`).
 
 The process-level drills (``ha``, ``reshard``) interleave their kills
-with the update phase and run no traffic after it; their replay
-checkpoint is taken at the survivor once the drill is over, and the
-engine-internal oracles judge an in-process restore that is
-fingerprint-equal to it.  No executor writes a verdict itself: the
-data-path oracles merely run early, while the server is still up.
+and lookup probes with the update phase; their replay pair is taken at
+the survivor once the drill is over, and the engine-internal oracles
+judge the in-process restore, which is fingerprint-equal to it.  No
+executor writes a verdict itself: the data-path oracles merely run
+early, while the server is still up.
 
 A cell that raises mid-flight is *captured*, not propagated: its result
 carries the error and the campaign moves on — CI wants every cell's
@@ -244,7 +243,7 @@ class _CellContext:
 def _capture_replay(
     manager: PersistenceManager, state_dir: Path, scratch: Path
 ) -> Tuple[str, str]:
-    """(live, replayed-from-copy) fingerprints at the quiesce point."""
+    """(live, replayed-from-copy) fingerprints at the end of the cell."""
     live = manager.system.state_fingerprint()
     manager.sync()
     if scratch.exists():
@@ -291,22 +290,20 @@ def _run_inproc(cell: Cell, workdir: Path) -> CellEvidence:
     else:
         system.drain_updates()
 
-    # Phase 2: replay checkpoint, strictly before traffic.
-    replay = None
-    if manager is not None:
-        replay = _capture_replay(manager, state_dir, workdir / "replay-copy")
-
-    # Phase 3: traffic through the data path (fault schedule fires here).
+    # Phase 2: traffic through the data path (fault schedule fires here).
     packets = ctx.traffic()
     for start in range(0, len(packets), 256):
         system.process_lookups(packets[start : start + 256])
 
-    # Phase 4: optional healing audit (models the PR 1 background repair).
+    # Phase 3: optional healing audit (models the background repair).
     if ctx.fault.self_heal:
         system.verify_chips(repair=True)
 
+    # Phase 4: the replay pair.
+    replay = None
     storage_audits = []
     if manager is not None:
+        replay = _capture_replay(manager, state_dir, workdir / "replay-copy")
         storage_audits.append(manager.verify_storage())
         manager.close()
     return CellEvidence(
@@ -352,25 +349,8 @@ def _restore_copy(
     return fingerprint, [worker.system for worker in restored.workers], audits
 
 
-def _precheck_data_path(evidence: CellEvidence) -> None:
-    """Run the network-dependent oracles while the server is still up,
-    then detach the data path (the server is about to go)."""
-    from repro.campaign import oracles as oracle_module
-
-    for name in ("zero-acked-loss", "lpm-equivalence"):
-        evidence.prechecked[name] = oracle_module._ORACLES[name](evidence)
-    evidence.lookup_fn = None
-
-
-def _wire_phases(
-    ctx: _CellContext, client, state_dir: Path, workdir: Path
-) -> Tuple[Tuple[str, str], List[ClueSystem]]:
-    """Phases 1-3 of a cell driven over the wire, on any serving topology.
-
-    Returns the replay pair — the live fingerprint against a clean
-    restore of a copy of ``state_dir`` at the quiesce point — and that
-    restore's systems.
-    """
+def _wire_phases(ctx: _CellContext, client) -> None:
+    """The update and traffic phases of a cell driven over the wire."""
     # Phase 1: acked update batches over the wire, then MSG_FLUSH.
     for batch in ctx.update_batches():
         ack = client.update(batch)
@@ -386,35 +366,55 @@ def _wire_phases(
             ctx.mirror(message)
     client.flush()
 
-    # Phase 2: replay checkpoint before any traffic.
-    live = client.fingerprint()
-    replayed, systems, _audits = _restore_copy(
-        state_dir, workdir / "replay-copy"
-    )
-
-    # Phase 3: traffic over the wire.
+    # Phase 2: traffic over the wire.
     packets = ctx.traffic()
     for start in range(0, len(packets), 256):
         client.lookup(packets[start : start + 256])
-    return (live, replayed), systems
 
 
-def _wire_evidence(ctx: _CellContext, client, **facts) -> CellEvidence:
-    """Evidence of a live server: the cell's facts plus its data path."""
+def _wire_evidence(
+    ctx: _CellContext,
+    client,
+    state_dir: Path,
+    workdir: Path,
+    systems: Optional[List[ClueSystem]] = None,
+) -> CellEvidence:
+    """The end of a cell on a live server: flush, take its fingerprint,
+    restore a copy of ``state_dir`` (the replay pair), then run the
+    data-path oracles while the server is still up.
+
+    The engine-internal oracles judge ``systems`` when the engines are
+    in-process, else the restored copy; the storage audits are the
+    copy's, until a serving executor replaces them with its post-drain
+    ones.
+    """
+    from repro.campaign import oracles as oracle_module
     from repro.serve.chaos import shard_load_rows
 
-    return CellEvidence(
+    client.flush()
+    live = client.fingerprint()
+    replayed, restored, audits = _restore_copy(
+        state_dir, workdir / "replay-copy"
+    )
+    evidence = CellEvidence(
         cell=ctx.cell,
         reference=ctx.reference,
         provenance=ctx.provenance,
         lookup_fn=client.lookup,
+        systems=restored if systems is None else systems,
         acked_prefixes=ctx.acked_prefixes(),
         acked_updates=ctx.acked_updates,
         shed_updates=ctx.shed_updates,
         external_updates=ctx.fault.external_updates,
+        replay=(live, replayed),
+        storage_audits=audits,
         shard_loads=shard_load_rows(client.stats().get("shards", [])),
-        **facts,
     )
+    # The data path dies with the server: detach it once its oracles ran.
+    for name in ("zero-acked-loss", "lpm-equivalence"):
+        evidence.prechecked[name] = oracle_module._ORACLES[name](evidence)
+    evidence.lookup_fn = None
+    return evidence
 
 
 # -- in-process network serve executor -----------------------------------
@@ -442,9 +442,9 @@ def _run_serve(cell: Cell, workdir: Path, shard_count: int) -> CellEvidence:
     with ServerThread(shards, ServeConfig()) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
-            replay, _restored = _wire_phases(ctx, client, state_dir, workdir)
+            _wire_phases(ctx, client)
 
-            # Phase 4: healing audit, directly on the in-process shards.
+            # Phase 3: healing audit, directly on the in-process shards.
             if ctx.fault.self_heal:
                 for worker in shards.workers:
                     worker.system.verify_chips(repair=True)
@@ -453,10 +453,10 @@ def _run_serve(cell: Cell, workdir: Path, shard_count: int) -> CellEvidence:
             evidence = _wire_evidence(
                 ctx,
                 client,
+                state_dir,
+                workdir,
                 systems=[worker.system for worker in shards.workers],
-                replay=replay,
             )
-            _precheck_data_path(evidence)
         finally:
             client.close()
     # The drain (ServerThread exit) checkpointed and closed each journal;
@@ -480,8 +480,8 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     processes``): updates and traffic travel client → parent front →
     worker, the engine fault schedule rides in via ``--faults``, and the
     drain fans out so each worker checkpoints and exits before the
-    parent does.  The engine-internal oracles judge the quiesce-point
-    restore, which is fingerprint-equal to the workers at that point;
+    parent does.  The engine-internal oracles judge the end-of-cell
+    restore, which is fingerprint-equal to the workers;
     storage-audit judges the journal directory the workers left behind.
     """
     from repro.serve.procs import ProcessFront, ProcessSupervisor, WorkerSpec
@@ -518,16 +518,13 @@ def _run_serve_procs(cell: Cell, workdir: Path) -> CellEvidence:
     with ServerThread(server=front) as thread:
         client = ServeClient("127.0.0.1", thread.server.port, timeout=30.0)
         try:
-            # The live fingerprint is cross-process; the replayed one a
-            # clean single-process restore of the shared journal
-            # directory.  Worker faults fire during the traffic phase.
-            replay, restored = _wire_phases(ctx, client, state_dir, workdir)
+            # Worker faults fire during the traffic phase.  The live
+            # fingerprint is cross-process; the replayed one a clean
+            # single-process restore of the shared journal directory.
             # The per-range hit counters arrive merged from the worker
             # STATS snapshots — the same rows the reshard policy reads.
-            evidence = _wire_evidence(
-                ctx, client, systems=restored, replay=replay
-            )
-            _precheck_data_path(evidence)
+            _wire_phases(ctx, client)
+            evidence = _wire_evidence(ctx, client, state_dir, workdir)
         finally:
             client.close()
     # The drain (ServerThread exit) fanned out to every worker: each
@@ -557,12 +554,11 @@ def _run_drill(
     """Run one process-level drill and gather evidence from its survivor.
 
     The drill (:mod:`repro.serve.chaos`) drives the cell's update batches
-    across its kills and returns the port and state directory of the
-    serving primary it leaves behind.  Its fingerprint is taken first —
-    lookups legitimately mutate the DRed LRU outside the journal — then
-    a copy of its state directory is restored in-process: the copy is
-    fingerprint-equal to the survivor, so the engine-internal and
-    storage oracles judging the copy judge the survivor.
+    and lookup probes across its kills and returns the port and state
+    directory of the serving primary it leaves behind.  A copy of that
+    directory is restored in-process: the copy is fingerprint-equal to
+    the survivor, so the engine-internal and storage oracles judging the
+    copy judge the survivor.
     """
     from repro.serve.chaos import ChaosConfig, Cluster
 
@@ -580,19 +576,7 @@ def _run_drill(
         port, state_dir = drill(cluster, ctx)
         client = cluster.ha_client(port)
         try:
-            client.flush()
-            live = client.fingerprint()
-            replayed, systems, audits = _restore_copy(
-                state_dir, workdir / "replay-copy"
-            )
-            evidence = _wire_evidence(
-                ctx,
-                client,
-                systems=systems,
-                replay=(live, replayed),
-                storage_audits=audits,
-            )
-            _precheck_data_path(evidence)
+            evidence = _wire_evidence(ctx, client, state_dir, workdir)
         finally:
             client.close()
     return evidence

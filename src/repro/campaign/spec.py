@@ -180,8 +180,8 @@ class CampaignSpec:
             )
         if topology == "ha" and not profile.process_level:
             return (
-                "ha cells need a kill-primary fault: only a backup that "
-                "never served lookups can pass byte-identical replay"
+                "ha cells need a kill-primary fault: the drill judges "
+                "the survivor of a failover"
             )
         if topology == "reshard" and not profile.process_level:
             return (

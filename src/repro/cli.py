@@ -647,7 +647,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers == "processes" and args.shard_index is None:
         return _cmd_serve_processes(args)
 
-    ship_fingerprints = not args.no_ship_fingerprints
     if args.backup:
         if args.table or args.restore or args.faults or args.replicate_to:
             raise ValueError(
@@ -671,11 +670,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     "--faults schedules with update storms bypass the "
                     "journal; drop --journal or remove the storm events"
                 )
-            if args.replicate_to and ship_fingerprints:
-                # Chip faults mutate state outside the journal, so the
-                # replicas legitimately diverge; keep replicating, stop
-                # comparing fingerprints in-protocol.
-                ship_fingerprints = False
         if args.replicate_to and not args.journal:
             raise ValueError(
                 "--replicate-to ships the journal, so it needs --journal"
@@ -695,7 +689,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port_file=args.port_file,
             replicate_to=args.replicate_to,
             ack_mode=args.ack_mode,
-            ship_fingerprints=ship_fingerprints,
+            # Chip faults mutate state outside the journal, so the
+            # replicas legitimately diverge; keep replicating, stop
+            # comparing fingerprints in-protocol.
+            ship_fingerprints=not args.faults,
             backup_dir=args.backup,
             auto_promote=not args.no_auto_promote,
             heartbeat_interval=args.heartbeat_interval,
@@ -1289,12 +1286,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="primary",
         help="primary: ack after local fsync, ship async; quorum: ack "
         "only after the backup has applied and synced the batch",
-    )
-    serve_ha.add_argument(
-        "--no-ship-fingerprints",
-        action="store_true",
-        help="skip in-protocol fingerprint comparison (implied by "
-        "--faults, whose chip faults diverge state outside the journal)",
     )
     serve_ha.add_argument(
         "--backup",

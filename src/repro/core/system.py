@@ -449,8 +449,10 @@ class ClueSystem:
         source trie (ground truth), the compressed table it determines,
         the live partitioning (boundaries + chip mapping, which drift
         from the config after :meth:`rebalance`), per-chip TCAM content
-        and liveness, DRed content *in LRU order*, and the scheduler's
-        queue, storm flag and deferred-diff batch.  Data-plane counters
+        and liveness, and the scheduler's queue, storm flag and
+        deferred-diff batch.  DRed is a prefix cache, not state: a restore
+        starts with cold DReds, as a rebooted line card does, and a
+        ``dred`` key in an older snapshot is ignored.  Data-plane counters
         (engine stats, TTF samples) are metrics, not state, and are not
         captured.
 
@@ -530,13 +532,14 @@ class ClueSystem:
             raise ValueError(f"malformed snapshot state: {exc!r}") from exc
 
     def state_fingerprint(self) -> str:
-        """SHA-256 over the state the crash-recovery contract guarantees.
+        """SHA-256 over the state the journal alone determines.
 
-        Counters and metrics are excluded on purpose: a restored system
-        replaying a journal suffix must converge to the same *forwarding
-        behaviour* as the uninterrupted run — tables, partitioning, DRed
-        content, queue content and deferred TCAM writes — not to the
-        same bean counts.
+        A restored system replaying a journal suffix, or a backup applying
+        shipped records, must converge to exactly this: the compressed
+        table, the partitioning, per-chip TCAM content and liveness, and
+        the scheduler's queue/storm/deferred-diff state.  DRed is soft
+        state — a prefix cache that lookups fill and updates invalidate —
+        so it is left out, as are counters and metrics.
         """
         from repro.persist import codec
         from repro.persist.snapshot import state_digest
@@ -547,36 +550,6 @@ class ClueSystem:
                 "compressed": codec.encode_routes(table.table.items()),
                 **self._placement_state(),
                 "chips": self._chip_states(),
-                "scheduler": self._scheduler_state(include_stats=False),
-            }
-        )
-
-    def control_fingerprint(self) -> str:
-        """SHA-256 over the state the *journal alone* determines.
-
-        The replication watermark check compares primary and backup after
-        each shipped batch, but only updates travel in the journal —
-        lookups mutate DRed (LRU order, evictions) on the primary without
-        leaving a record, so the full :meth:`state_fingerprint` diverges
-        between replicas the moment lookup traffic interleaves with
-        shipping.  This digest drops DRed content and covers exactly what
-        replaying the shipped records must reproduce: the compressed
-        table, the partitioning, per-chip TCAM content and liveness, and
-        the scheduler's queue/storm/deferred-diff state.
-        """
-        from repro.persist import codec
-        from repro.persist.snapshot import state_digest
-
-        table = self.pipeline.trie_stage.table
-        chips = [
-            {"table": chip["table"], "alive": chip["alive"]}
-            for chip in self._chip_states()
-        ]
-        return state_digest(
-            {
-                "compressed": codec.encode_routes(table.table.items()),
-                **self._placement_state(),
-                "chips": chips,
                 "scheduler": self._scheduler_state(include_stats=False),
             }
         )
@@ -641,24 +614,13 @@ class ClueSystem:
     def _chip_states(self) -> List[Dict]:
         from repro.persist import codec
 
-        chips = []
-        for chip in self.engine.chips:
-            dred = None
-            if chip.dred is not None:
-                # OrderedDict iteration == LRU order; eviction behaviour
-                # after restore depends on preserving it exactly.
-                dred = [
-                    [str(prefix), entry.next_hop, entry.owner]
-                    for prefix, entry in chip.dred._entries.items()
-                ]
-            chips.append(
-                {
-                    "table": codec.encode_routes(chip.table.routes()),
-                    "alive": chip.alive,
-                    "dred": dred,
-                }
-            )
-        return chips
+        return [
+            {
+                "table": codec.encode_routes(chip.table.routes()),
+                "alive": chip.alive,
+            }
+            for chip in self.engine.chips
+        ]
 
     def _scheduler_state(self, include_stats: bool) -> Dict:
         from repro.persist import codec
@@ -701,11 +663,6 @@ class ClueSystem:
             # Set liveness directly: kill_chip() would count a fresh
             # failure in the engine stats.
             chip.alive = bool(chip_state["alive"])
-            if chip.dred is not None:
-                for prefix in list(chip.dred._entries):
-                    chip.dred.delete(prefix)
-                for text, hop, owner in chip_state.get("dred") or []:
-                    chip.dred.insert(Prefix.parse(text), int(hop), int(owner))
 
     def _restore_scheduler(self, state: Dict) -> None:
         from repro.persist import codec

@@ -272,17 +272,15 @@ def run_cell(cluster: Cluster, schedule: FaultSchedule) -> Tuple[int, Path]:
       promoting; a server restored from its epoch journal takes the rest
       of the stream.
 
-    Lookup probes run every third batch until the primary dies.  The
-    schedule must kill the primary: only a survivor that never served
-    lookups can pass byte-identical replay (lookups legitimately mutate
-    the DRed LRU outside the journal).
+    Lookup probes run every third batch, before and after the failover.
+    The schedule must kill the primary: the drill judges the survivor of
+    a failover.
     """
     kills = schedule.process_kills()
     if not any(event.kind is FaultKind.KILL_PRIMARY for event in kills):
         raise ChaosError(
             f"{cluster.name}: an ha drill needs a kill-primary event — "
-            f"the backup must be the survivor for replay verification "
-            f"to apply"
+            f"it judges the survivor of a failover"
         )
     last = len(cluster.batches)
     engine_events = schedule.engine_only()
@@ -337,7 +335,7 @@ def run_cell(cluster: Cluster, schedule: FaultSchedule) -> Tuple[int, Path]:
                     survivor = (restored.port, epoch)
             if index == last:
                 break
-            if not primary_killed and index % 3 == 0:
+            if index % 3 == 0:
                 cluster.probe(client, 32)
             cluster.send(client, cluster.batches[index])
     finally:
@@ -385,9 +383,10 @@ def run_reshard_cell(cluster: Cluster, kill_stage: str) -> Tuple[int, Path]:
     — rollback for ``copy``/``catchup``, roll-forward for ``cutover`` —
     and a rolled-back drill re-issues the split, so **every** run ends
     in the post-migration topology, which then takes the last quarter
-    of the batches.  A batch whose ack died with the kill is re-sent
-    verbatim after restart (at-least-once; idempotent at the route
-    level), so the acked stream stays exactly the applied one.
+    of the batches, interleaved with lookup probes.  A batch whose ack
+    died with the kill is re-sent verbatim after restart (at-least-once;
+    idempotent at the route level), so the acked stream stays exactly
+    the applied one.
     """
     if kill_stage not in RESHARD_KILL_STAGES:
         raise ChaosError(
@@ -450,8 +449,7 @@ def run_reshard_cell(cluster: Cluster, kill_stage: str) -> Tuple[int, Path]:
     watcher.start()
 
     # Live load across the migration: one update batch per stage the
-    # drill observes, lookup probes throughout (the DRed state they
-    # build dies with the kill, so it cannot disturb the replay check).
+    # drill observes, lookup probes throughout.
     unacked: Optional[List[UpdateMessage]] = None
     sent_in: object = None
     deadline = time.monotonic() + config.startup_timeout
@@ -496,10 +494,9 @@ def run_reshard_cell(cluster: Cluster, kill_stage: str) -> Tuple[int, Path]:
         if rolled_back:
             _reissue_split(cluster, admin)
 
-        # Post-migration traffic — updates only: a lookup here would
-        # mutate the survivor's DRed outside the journal and (correctly)
-        # break the byte-identical replay check.
+        # Post-migration traffic: lookups interleaved with the updates.
         while pending:
+            cluster.probe(rclient, 16)
             if not send_acked(rclient, pending.popleft()):
                 raise ChaosError(
                     f"{cluster.name}: restarted server died during "

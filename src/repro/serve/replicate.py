@@ -26,7 +26,7 @@ claims more than the backup has applied).
 
 Promotion: on primary death (replication-feed EOF, heartbeat timeout, or
 an explicit admin ``MSG_FAILOVER``) the backup verifies each shard's
-control fingerprint against the last one shipped at its watermark and
+state fingerprint against the last one shipped at its watermark and
 takes over the address range as a normal serving primary.  The "journal
 tail replay" of the design happens in two places: shipped records are
 applied (and locally journaled) eagerly while following, and a backup
@@ -74,7 +74,7 @@ class ReplicationConfig:
     ack_mode: str = "primary"
     connect_timeout: float = 5.0
     io_timeout: float = 30.0
-    #: Ship the primary's per-shard control fingerprint with every record
+    #: Ship the primary's per-shard state fingerprint with every record
     #: batch so the backup verifies convergence continuously.  Must be
     #: off when un-journaled chip faults are armed on the primary (their
     #: effects never ship, so the fingerprints legitimately differ).
@@ -166,7 +166,7 @@ class JournalShipper:
                 "state": worker.system.capture_state(),
             }
             if self.config.ship_fingerprints:
-                entry["fingerprint"] = worker.system.control_fingerprint()
+                entry["fingerprint"] = worker.system.state_fingerprint()
             shards_payload.append(entry)
             self.shipped[worker.index] = seq
             self.acked[worker.index] = 0
@@ -249,7 +249,7 @@ class JournalShipper:
                     "records": list(batch),
                 }
                 if self.config.ship_fingerprints:
-                    entry["fingerprint"] = worker.system.control_fingerprint()
+                    entry["fingerprint"] = worker.system.state_fingerprint()
                 last_seq = batch[-1][0]
                 payload = protocol.encode_replicate(entry)
                 if quorum:
@@ -458,7 +458,7 @@ class BackupReplica:
     epoch_dir: Optional[Path] = None
     #: Highest primary journal seq applied, per shard.
     applied_seqs: List[int] = field(default_factory=list)
-    #: Last control fingerprint shipped (and verified) per shard.
+    #: Last state fingerprint shipped (and verified) per shard.
     fingerprints: List[Optional[str]] = field(default_factory=list)
     #: Monotonic time of the last frame from the primary.
     last_feed: float = field(default_factory=time.monotonic)
@@ -505,7 +505,7 @@ class BackupReplica:
                 ) from exc
             shipped_fp = entry.get("fingerprint")
             if shipped_fp is not None:
-                local_fp = system.control_fingerprint()
+                local_fp = system.state_fingerprint()
                 if local_fp != shipped_fp:
                     raise ReplicationError(
                         f"shard {shard_index} bootstrap fingerprint "
@@ -555,7 +555,7 @@ class BackupReplica:
             self.records_applied += 1
         shipped_fp = data.get("fingerprint")
         if shipped_fp is not None:
-            local_fp = worker.system.control_fingerprint()
+            local_fp = worker.system.state_fingerprint()
             if local_fp != shipped_fp:
                 raise ReplicationError(
                     f"shard {shard} diverged at seq "
@@ -609,7 +609,7 @@ class BackupReplica:
                 expected = self.fingerprints[worker.index]
                 if expected is None:
                     continue
-                actual = worker.system.control_fingerprint()
+                actual = worker.system.state_fingerprint()
                 if actual != expected:
                     raise ReplicationError(
                         f"shard {worker.index} fingerprint {actual} does "

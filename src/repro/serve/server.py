@@ -80,7 +80,7 @@ class ServeConfig:
     replicate_to: Optional[str] = None
     #: ``primary`` or ``quorum`` — when a client ack claims replication.
     ack_mode: str = "primary"
-    #: Ship control fingerprints for continuous divergence checks; turn
+    #: Ship state fingerprints for continuous divergence checks; turn
     #: off when un-journaled chip faults are armed on the primary.
     ship_fingerprints: bool = True
     #: Start as a backup replica journaling epochs under this directory

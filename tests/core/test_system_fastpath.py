@@ -221,6 +221,44 @@ class TestSnapshotRoundTrip:
             )
             assert restored.engine.verify_completions(covered_only=True)
 
+    def test_lookups_leave_the_fingerprint_alone(self, system_rib):
+        """DRed is soft state: traffic refills it without touching the
+        fingerprint, which digests only what the journal determines."""
+        system = fast_system(system_rib, dred_capacity=64)
+        before = system.state_fingerprint()
+        occupancy = [len(chip.dred) for chip in system.engine.chips]
+        system.process_lookups(
+            TrafficGenerator(system_rib, seed=31).take(2_000)
+        )
+        assert [len(chip.dred) for chip in system.engine.chips] != occupancy
+        assert system.state_fingerprint() == before
+
+    def test_snapshot_dred_is_ignored_on_restore(self, system_rib):
+        """A snapshot written with DRed content (the older format) loads
+        with cold DReds, as a rebooted line card does."""
+        system = fast_system(system_rib, dred_capacity=64)
+        system.process_lookups(
+            TrafficGenerator(system_rib, seed=37).take(2_000)
+        )
+        state = system.capture_state()
+        assert all("dred" not in chip_state for chip_state in state["chips"])
+        for chip, chip_state in zip(system.engine.chips, state["chips"]):
+            chip_state["dred"] = [
+                [str(prefix), entry.next_hop, entry.owner]
+                for prefix, entry in chip.dred._entries.items()
+            ]
+        assert any(chip_state["dred"] for chip_state in state["chips"])
+
+        restored = ClueSystem.from_state(state)
+        assert all(len(chip.dred) == 0 for chip in restored.engine.chips)
+        assert restored.state_fingerprint() == system.state_fingerprint()
+        oracle = BinaryTrie.from_routes(system_rib)
+        addresses = TrafficGenerator(system_rib, seed=41).take(2_000)
+        answers = restored.process_lookups(addresses)
+        for address, hop in zip(addresses, answers):
+            expected = oracle.lookup(address)
+            assert expected is None or hop == expected
+
     def test_trie_snapshot_restores_as_trie(self, system_rib):
         system = trie_system(system_rib)
         restored = ClueSystem.from_state(system.capture_state())

@@ -9,7 +9,10 @@ what old on-disk state restores to fails here — byte for byte, not just
 
 A failure means one of two things: an accidental format break (fix the
 code), or a deliberate format change (rerun ``regenerate.py`` and commit
-the new corpus with the change, noting it in DESIGN.md).
+the new corpus with the change, noting it in DESIGN.md).  A change to
+what the fingerprint or a capture covers, which old state still loads
+under, re-pins only ``expected.json``: the committed state dirs then
+keep proving that old snapshots load.
 """
 
 import json
