@@ -71,7 +71,8 @@ class CellEvidence:
     live in subprocesses an in-process restore of a copy of the state
     directory that is fingerprint-equal to the live server (equal
     tables, placement, chip liveness and scheduler state; its DReds
-    start cold).  ``lookup_fn`` is
+    start cold, so the live shards' own DRed verdicts in
+    ``shard_loads`` stand in for them).  ``lookup_fn`` is
     the cell's *data path* — ``process_lookups`` or a network client —
     never the control-plane trie, so chip-level corruption stays
     visible.  ``reference`` mirrors the initial RIB plus exactly the
@@ -95,8 +96,10 @@ class CellEvidence:
     replay: Optional[Tuple[str, str]] = None
     storage_audits: List[StorageAudit] = field(default_factory=list)
     prechecked: Dict[str, OracleVerdict] = field(default_factory=dict)
-    #: Per-range ``{shard, range, lookup_hits, update_hits}`` rows — the
-    #: load accounting reshard decisions run on, surfaced in reports.
+    #: Per-range ``{shard, range, lookup_hits, update_hits, dred_entries,
+    #: dred_violations}`` rows as the live server reported them: the load
+    #: accounting reshard decisions run on, and each shard's own audit of
+    #: its live DRed (see ``ShardWorker.report_dict``).
     shard_loads: List[Dict[str, object]] = field(default_factory=list)
     #: Source path + SHA-256 per trace kind when the cell ran a
     #: ``file:`` workload; ``None`` for synthetic workloads.
@@ -265,12 +268,28 @@ def _skip_no_systems(evidence: CellEvidence, name: str) -> Optional[OracleVerdic
     return None
 
 
+def _live_dred_failure(
+    evidence: CellEvidence, name: str, check: str
+) -> Optional[OracleVerdict]:
+    """FAIL for the first live shard whose own DRed audit broke ``check``."""
+    for row in evidence.shard_loads:
+        detail = row.get("dred_violations", {}).get(check)
+        if detail:
+            return OracleVerdict(
+                name, FAIL, f"live shard {row.get('shard')}: {check}: {detail}"
+            )
+    return None
+
+
 def dred_exclusion(evidence: CellEvidence) -> OracleVerdict:
     """No chip's DRed caches a prefix homed on that same chip."""
     name = "dred-exclusion"
     skip = _skip_no_systems(evidence, name)
     if skip is not None:
         return skip
+    failure = _live_dred_failure(evidence, name, "dred-exclusion")
+    if failure is not None:
+        return failure
     for index, system in enumerate(evidence.systems):
         if not system.check_dred_exclusion():
             return OracleVerdict(
@@ -312,6 +331,9 @@ def state_audit(evidence: CellEvidence) -> OracleVerdict:
     skip = _skip_no_systems(evidence, name)
     if skip is not None:
         return skip
+    failure = _live_dred_failure(evidence, name, "dred-fresh")
+    if failure is not None:
+        return failure
     for index, system in enumerate(evidence.systems):
         report = system.audit_invariants(
             sample_size=evidence.cell.budget.sample_addresses

@@ -76,11 +76,16 @@ def render_markdown(result: CampaignResult) -> str:
         lines.append("")
         lines.append(
             "The per-range hit counters that drive split/merge decisions "
-            "(DESIGN.md §14), as each cell's server last reported them."
+            "(DESIGN.md §14), and the DRed entries each live shard judged "
+            "against its own table, as each cell's server last reported "
+            "them."
         )
         lines.append("")
-        lines.append("| cell | shard | range | lookup hits | update hits |")
-        lines.append("|---|---|---|---|---|")
+        lines.append(
+            "| cell | shard | range | lookup hits | update hits "
+            "| live DRed entries |"
+        )
+        lines.append("|---|---|---|---|---|---|")
         for cell in loaded:
             for row in cell.shard_loads:
                 span = row.get("range")
@@ -92,7 +97,8 @@ def render_markdown(result: CampaignResult) -> str:
                 lines.append(
                     f"| `{cell.cell_id}` | {row.get('shard', '?')} "
                     f"| `{span_text}` | {row.get('lookup_hits', 0)} "
-                    f"| {row.get('update_hits', 0)} |"
+                    f"| {row.get('update_hits', 0)} "
+                    f"| {row.get('dred_entries', '-')} |"
                 )
     sourced = [cell for cell in result.results if cell.workload_provenance]
     if sourced:

@@ -428,7 +428,6 @@ def _cmd_inject_faults(args: argparse.Namespace) -> int:
         ("failed-over packets", stats.failed_over_packets),
         ("control-path resolutions", stats.control_path_resolutions),
         ("updates shed", stats.shed_updates),
-        ("TCAM writes deferred", stats.deferred_updates),
         ("corrupted entries", stats.corrupted_entries),
         ("audit repairs", audit.repairs),
     ]

@@ -33,7 +33,3 @@ class SystemConfig:
     #: Bounded control-plane update queue in front of the pipeline; offers
     #: beyond it are shed (BGP re-advertisement is the retry path).
     update_queue_capacity: int = 256
-    #: Queue occupancy at which the scheduler enters storm mode (defer
-    #: TCAM writes) and at which it exits (flush the deferred batch).
-    storm_high_watermark: float = 0.75
-    storm_low_watermark: float = 0.25

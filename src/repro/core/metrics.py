@@ -155,8 +155,7 @@ class SystemReport:
                 f"({stats.chip_downtime_cycles} downtime chip-cycles, "
                 f"availability {stats.availability():.1%}), "
                 f"{stats.failed_over_packets} packets failed over, "
-                f"{stats.shed_updates} updates shed, "
-                f"{stats.deferred_updates} TCAM writes deferred"
+                f"{stats.shed_updates} updates shed"
             )
         if self.chip_repairs:
             lines.append(f"audit: {self.chip_repairs} entries repaired")

@@ -126,8 +126,6 @@ class ClueSystem:
         self.scheduler = UpdateScheduler(
             self.pipeline,
             capacity=self.config.update_queue_capacity,
-            high_watermark=self.config.storm_high_watermark,
-            low_watermark=self.config.storm_low_watermark,
             on_diff=self._apply_diff_to_chips,
         )
         # Round-robin cursor of the incremental chip audit.
@@ -227,22 +225,19 @@ class ClueSystem:
         return accepted
 
     def pump_updates(self, budget: int = 8) -> int:
-        """Apply up to ``budget`` queued updates (storm mode may defer
-        their TCAM writes); returns how many ran."""
+        """Apply up to ``budget`` queued updates; returns how many ran."""
         applied = self.scheduler.pump(budget)
         self._sync_scheduler_stats()
         return applied
 
     def drain_updates(self) -> int:
-        """Empty the update queue and flush any deferred TCAM writes."""
+        """Apply every queued update; returns how many ran."""
         applied = self.scheduler.drain()
         self._sync_scheduler_stats()
         return applied
 
     def _sync_scheduler_stats(self) -> None:
-        stats = self.engine.stats
-        stats.shed_updates = self.scheduler.stats.shed
-        stats.deferred_updates = self.scheduler.stats.deferred
+        self.engine.stats.shed_updates = self.scheduler.stats.shed
 
     # ------------------------------------------------------------------
     # Fault tolerance
@@ -271,8 +266,8 @@ class ClueSystem:
 
         Storm events synthesise ``count`` BGP updates (seeded, against the
         current table) and push them through the backpressured scheduler —
-        shedding and TCAM-write deferral happen exactly as they would under
-        a real burst.  Returns the injector (also installed on the engine).
+        shedding happens exactly as it would under a real burst.  Returns
+        the injector (also installed on the engine).
         """
         generator = UpdateGenerator(
             list(self.pipeline.trie_stage.table.source.routes()),
@@ -449,12 +444,13 @@ class ClueSystem:
         source trie (ground truth), the compressed table it determines,
         the live partitioning (boundaries + chip mapping, which drift
         from the config after :meth:`rebalance`), per-chip TCAM content
-        and liveness, and the scheduler's queue, storm flag and
-        deferred-diff batch.  DRed is a prefix cache, not state: a restore
-        starts with cold DReds, as a rebooted line card does, and a
-        ``dred`` key in an older snapshot is ignored.  Data-plane counters
-        (engine stats, TTF samples) are metrics, not state, and are not
-        captured.
+        and liveness, and the scheduler's queue.  DRed is a prefix cache,
+        not state: a restore starts with cold DReds, as a rebooted line
+        card does.  Data-plane counters (engine stats, TTF samples) are
+        metrics, not state, and are not captured.  Keys an older v1
+        snapshot carries beyond these (``dred``, the storm flag and
+        deferred-diff batch, the storm watermarks) are ignored on
+        restore.
 
         Raises :class:`ValueError` under ``lazy_compression`` — the lazy
         table depends on update history, so rebuilding it from the source
@@ -537,9 +533,9 @@ class ClueSystem:
         A restored system replaying a journal suffix, or a backup applying
         shipped records, must converge to exactly this: the compressed
         table, the partitioning, per-chip TCAM content and liveness, and
-        the scheduler's queue/storm/deferred-diff state.  DRed is soft
-        state — a prefix cache that lookups fill and updates invalidate —
-        so it is left out, as are counters and metrics.
+        the scheduler's queue.  DRed is soft state — a prefix cache that
+        lookups fill and updates invalidate — so it is left out, as are
+        counters and metrics.
         """
         from repro.persist import codec
         from repro.persist.snapshot import state_digest
@@ -579,8 +575,6 @@ class ClueSystem:
             "partitions_per_chip": self.config.partitions_per_chip,
             "compression_mode": self.config.compression_mode.name,
             "update_queue_capacity": self.config.update_queue_capacity,
-            "storm_high_watermark": self.config.storm_high_watermark,
-            "storm_low_watermark": self.config.storm_low_watermark,
         }
 
     @staticmethod
@@ -607,8 +601,6 @@ class ClueSystem:
             partitions_per_chip=int(data["partitions_per_chip"]),
             compression_mode=mode,
             update_queue_capacity=int(data["update_queue_capacity"]),
-            storm_high_watermark=float(data["storm_high_watermark"]),
-            storm_low_watermark=float(data["storm_low_watermark"]),
         )
 
     def _chip_states(self) -> List[Dict]:
@@ -629,19 +621,12 @@ class ClueSystem:
         queue = scheduler.queue
         state = {
             "queue": [codec.encode_message(m) for m in queue.items()],
-            "storm_mode": scheduler.storm_mode,
-            "deferred": [
-                [seq, codec.encode_diff(diff)]
-                for seq, diff in scheduler.pending_diffs()
-            ],
-            "defer_seq": scheduler._defer_seq,
         }
         if include_stats:
             state["queue_counters"] = [
                 queue.offered,
                 queue.accepted,
                 queue.shed,
-                queue.deferred,
                 queue.peak_occupancy,
             ]
             state["stats"] = {
@@ -668,53 +653,26 @@ class ClueSystem:
         from repro.persist import codec
 
         scheduler = self.scheduler
+        queue = scheduler.queue
         for text in state["queue"]:
-            scheduler.queue.offer(codec.decode_message(text))
-        scheduler.storm_mode = bool(state["storm_mode"])
-        deferred = [
-            (int(seq), codec.decode_diff(diff))
-            for seq, diff in state["deferred"]
-        ]
-        scheduler.restore_deferred(deferred, int(state["defer_seq"]))
-        if deferred:
-            self._rewind_tcam_mirror([diff for _seq, diff in deferred])
+            queue.offer(codec.decode_message(text))
         if "queue_counters" in state:
-            queue = scheduler.queue
+            counters = [int(value) for value in state["queue_counters"]]
+            if len(counters) == 5:
+                # Older v1 layout: a since-deleted ``deferred`` count
+                # sat before the peak.
+                del counters[3]
             (
                 queue.offered,
                 queue.accepted,
                 queue.shed,
-                queue.deferred,
                 queue.peak_occupancy,
-            ) = [int(value) for value in state["queue_counters"]]
+            ) = counters
+        known = {field.name for field in dataclasses.fields(scheduler.stats)}
         for name, value in state.get("stats", {}).items():
-            setattr(scheduler.stats, name, value)
+            if name in known:
+                setattr(scheduler.stats, name, value)
         self._sync_scheduler_stats()
-
-    def _rewind_tcam_mirror(self, deferred: List[TableDiff]) -> None:
-        """Rebuild the TCAM mirror *behind* the trie by the deferred batch.
-
-        A snapshot taken in storm mode records a trie that is ahead of
-        the TCAM mirror by exactly the deferred diffs; the constructor,
-        however, builds the mirror from the *current* table.  Undo the
-        deferred diffs in reverse order to recover the mirror's true
-        (stale) content, so the replayed flush applies them cleanly.
-        """
-        from repro.update.tcam_update import ClueTcamMirror
-
-        content = dict(self.pipeline.trie_stage.table.table)
-        for diff in reversed(deferred):
-            for prefix, _hop in diff.adds:
-                if content.pop(prefix, None) is None:
-                    raise ValueError(
-                        f"deferred diff adds {prefix}, which the snapshot "
-                        f"table does not contain"
-                    )
-            for prefix, hop in diff.removes:
-                content[prefix] = hop
-        self.pipeline.tcam_stage = ClueTcamMirror(
-            sorted(content.items(), key=lambda route: route[0].sort_key())
-        )
 
     # ------------------------------------------------------------------
     # Invariant auditing (see repro.persist.audit)
@@ -754,23 +712,6 @@ class ClueSystem:
         if halt and not report.ok:
             raise InvariantViolationError(report)
         return report
-
-    def enable_continuous_audit(
-        self, period: int = 1024, budget: int = 64, halt: bool = False
-    ) -> None:
-        """Audit invariants every ``period`` engine cycles while traffic
-        runs (chains with any observer already on ``engine.on_cycle``)."""
-        if period < 1:
-            raise ValueError("audit period must be positive")
-        previous = self.engine.on_cycle
-
-        def observer(cycle: int) -> None:
-            if previous is not None:
-                previous(cycle)
-            if cycle and cycle % period == 0:
-                self.invariant_step(budget=budget, halt=halt)
-
-        self.engine.on_cycle = observer
 
     # ------------------------------------------------------------------
     # Reporting

@@ -30,7 +30,6 @@ from repro.engine.schemes import (
 )
 from repro.engine.simulator import ChipState, EngineConfig, LookupEngine
 from repro.engine.stats import EngineStats
-from repro.engine.timeline import Timeline, TimelineSample
 
 __all__ = [
     "BackendMismatchError",
@@ -54,8 +53,6 @@ __all__ = [
     "RoundRobinPolicy",
     "SchemePolicy",
     "SlplPolicy",
-    "Timeline",
-    "TimelineSample",
     "UpdateQueue",
     "VerifyingLpmTable",
     "build_clpl_engine",

@@ -57,14 +57,12 @@ class BoundedFifo(Generic[T]):
 
 
 class UpdateQueue(Generic[T]):
-    """Bounded control-plane update queue with shed/defer accounting.
+    """Bounded control-plane update queue with shed accounting.
 
     Unlike :class:`BoundedFifo` (whose full signal *diverts* packets), an
     update queue under a BGP storm must make a load-shedding decision:
     an offer to a full queue is refused and counted as *shed* — the caller
-    (peer session) is expected to re-advertise later.  The ``deferred``
-    counter tracks items whose expensive side effects (TCAM writes) the
-    scheduler postponed; both feed the storm-mode statistics.
+    (peer session) is expected to re-advertise later.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -75,7 +73,6 @@ class UpdateQueue(Generic[T]):
         self.offered = 0
         self.accepted = 0
         self.shed = 0
-        self.deferred = 0
         self.peak_occupancy = 0
 
     def __len__(self) -> int:
@@ -91,7 +88,7 @@ class UpdateQueue(Generic[T]):
 
     @property
     def occupancy(self) -> float:
-        """Fill fraction in [0, 1] — the storm-mode trigger signal."""
+        """Fill fraction in [0, 1]."""
         return len(self._items) / self.capacity
 
     def offer(self, item: T) -> bool:

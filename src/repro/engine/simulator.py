@@ -166,7 +166,7 @@ class LookupEngine:
         # that would warm the DReds.
         self._pending: Deque[Packet] = deque()
         self._arrival_credit = 0.0
-        #: Optional per-cycle observer (see :mod:`repro.engine.timeline`).
+        #: Optional per-cycle observer, called with each cycle number.
         self.on_cycle: Optional[Callable[[int], None]] = None
         #: Optional fault source consulted each cycle (see
         #: :class:`repro.faults.injector.FaultInjector` — anything with a

@@ -44,7 +44,6 @@ class EngineStats:
     control_path_resolutions: int = 0
     corrupted_entries: int = 0
     shed_updates: int = 0
-    deferred_updates: int = 0
 
     # ------------------------------------------------------------------
 

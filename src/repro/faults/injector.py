@@ -33,7 +33,7 @@ from repro.faults.schedule import FaultEvent, FaultKind, FaultSchedule
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import LookupEngine
 
-#: Cycles one deferred storm update occupies a chip's access port when no
+#: Cycles one storm update occupies a chip's access port when no
 #: storm sink absorbs the burst (one TCAM write per update, CLUE's O(1)).
 STORM_STALL_CYCLES = 1
 

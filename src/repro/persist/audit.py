@@ -126,10 +126,16 @@ class InvariantAuditor:
         report.merge(self._check_disjoint())
         report.merge(self._check_equivalence(self.sample_size))
         report.merge(self._check_partition(chips=None))
-        report.merge(self._check_dred_exclusion())
-        report.merge(self._check_dred_fresh())
+        report.merge(self.check_dred())
         if halt and not report.ok:
             raise InvariantViolationError(report)
+        return report
+
+    def check_dred(self) -> AuditReport:
+        """Just the two DRed checks, exclusion and freshness: one pass
+        over the cached entries, cheap enough for every STATS call."""
+        report = self._check_dred_exclusion()
+        report.merge(self._check_dred_fresh())
         return report
 
     # -- incremental pass --------------------------------------------------

@@ -9,9 +9,8 @@ checked with state fingerprints, which would notice any drift.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.compress.onrtc import TableDiff
 from repro.net.prefix import Prefix
 from repro.workload.updategen import UpdateKind, UpdateMessage
 
@@ -63,15 +62,10 @@ def decode_message(text: str) -> UpdateMessage:
 
 def encode_routes(routes) -> List[List]:
     """Routes as JSON-ready ``[prefix, hop]`` pairs in address order."""
-    return encode_route_list(
-        sorted(routes, key=lambda route: route[0].sort_key())
-    )
-
-
-def encode_route_list(routes) -> List[List]:
-    """Like :func:`encode_routes` but preserving the given order (diffs and
-    LRU chains are order-sensitive)."""
-    return [[str(prefix), hop] for prefix, hop in routes]
+    return [
+        [str(prefix), hop]
+        for prefix, hop in sorted(routes, key=lambda route: route[0].sort_key())
+    ]
 
 
 def decode_routes(pairs: List[List]) -> List[Route]:
@@ -80,25 +74,3 @@ def decode_routes(pairs: List[List]) -> List[Route]:
         return [(Prefix.parse(text), int(hop)) for text, hop in pairs]
     except (ValueError, TypeError) as exc:
         raise CodecError(f"bad route list: {exc}") from exc
-
-
-# -- table diffs (deferred TCAM writes in a snapshot) ---------------------
-
-
-def encode_diff(diff: TableDiff) -> Dict:
-    return {
-        "adds": encode_route_list(diff.adds),
-        "removes": encode_route_list(diff.removes),
-        "relabelled": diff.relabelled,
-    }
-
-
-def decode_diff(data: Dict) -> TableDiff:
-    try:
-        return TableDiff(
-            adds=decode_routes(data["adds"]),
-            removes=decode_routes(data["removes"]),
-            relabelled=int(data.get("relabelled", 0)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise CodecError(f"bad diff payload: {exc}") from exc

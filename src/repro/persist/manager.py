@@ -11,11 +11,10 @@ plane's invariants, and reports a TTF-style *time to recovered*.
 
 Replay is exact because every journaled operation is deterministic given
 the state it runs against: ONRTC diffs are pure functions of the trie,
-the scheduler's storm entry/exit depends only on queue occupancy, and
-DRed invalidation depends only on the diff.  Internal storm-exit flushes
-are *not* replayed from the journal (they recur on their own inside the
-replayed ``pump``/``drain``); their journaled ``flush-auto`` markers are
-instead used to verify the replay reproduced the exact same batching.
+admission and shedding depend only on queue occupancy, and DRed
+invalidation depends only on the diff.  :func:`apply_record` is the one
+interpreter of a journal record; restore, a backup replica and a
+resharding migration all run records through it.
 
 Operations must be routed through the manager (it wraps the system's
 update entry points); anything applied behind its back is invisible to
@@ -39,10 +38,33 @@ PathLike = Union[str, Path]
 JOURNAL_DIR = "journal"
 SNAPSHOT_DIR = "snapshots"
 
-#: Journal record kinds the replay path executes.
-_REPLAYED_KINDS = ("apply", "offer", "pump", "drain", "flush")
-#: Kinds recorded for verification/bookkeeping only.
-_MARKER_KINDS = ("flush-auto", "checkpoint")
+#: Record kinds that execute nothing: checkpoints, and the two flush
+#: kinds older journals carry from when a full update queue deferred
+#: TCAM-mirror writes.
+_MARKER_KINDS = ("checkpoint", "flush", "flush-auto")
+
+
+def apply_record(target, kind: str, payload: str) -> bool:
+    """Run one journal record against ``target``; False for a marker.
+
+    ``target`` is a :class:`~repro.core.system.ClueSystem` (restore
+    replay) or a :class:`PersistenceManager` (a replica or migration
+    target, which journals the record again): both expose the same
+    update methods.  An unknown kind raises :class:`JournalError`.
+    """
+    if kind == "apply":
+        target.apply_update(codec.decode_message(payload))
+    elif kind == "offer":
+        target.offer_update(codec.decode_message(payload))
+    elif kind == "pump":
+        target.pump_updates(int(payload))
+    elif kind == "drain":
+        target.drain_updates()
+    elif kind in _MARKER_KINDS:
+        return False
+    else:
+        raise JournalError(f"unknown kind {kind!r}")
+    return True
 
 
 @dataclass
@@ -153,9 +175,6 @@ class PersistenceManager:
         #: In-memory tail of appended records a replication shipper has
         #: not collected yet (None = shipping disabled).
         self._ship_log: Optional[List[Tuple[int, str, str]]] = None
-        # Storm-exit (and any other non-empty) flushes are journaled as
-        # verification markers the moment the scheduler reports them.
-        self.system.scheduler.on_flush = self._record_flush
         if not resuming and initial_checkpoint:
             self.checkpoint()
 
@@ -183,9 +202,6 @@ class PersistenceManager:
         self._append(kind, payload)
         self._ops_since_checkpoint += 1
 
-    def _record_flush(self, count: int) -> None:
-        self._append("flush-auto", str(count))
-
     def apply_update(self, message):
         """Journal, then run one update through the direct pipeline path."""
         self._journal_op("apply", codec.encode_message(message))
@@ -208,16 +224,11 @@ class PersistenceManager:
         return applied
 
     def drain_updates(self) -> int:
-        """Journal, then empty the queue and flush deferred TCAM writes."""
+        """Journal, then apply every queued update."""
         self._journal_op("drain")
         applied = self.system.drain_updates()
         self._maybe_checkpoint()
         return applied
-
-    def flush_updates(self) -> int:
-        """Journal an explicit flush boundary, then flush deferred diffs."""
-        self._journal_op("flush")
-        return self.system.scheduler.flush()
 
     def commit_batch(self, messages, budget: Optional[int] = None):
         """Group-commit one update batch; durable before the return.
@@ -274,19 +285,6 @@ class PersistenceManager:
     def end_shipping(self) -> None:
         """Stop buffering (the shipper detached)."""
         self._ship_log = None
-
-    def export_since(self, seq: int) -> List[Tuple[int, str, str]]:
-        """Journal records with sequence > ``seq``, read from disk.
-
-        The catch-up path: a shipper that lost its buffer (reconnect)
-        re-reads the suffix the backup is missing.  Records truncated
-        away by a checkpoint are gone — callers needing older history
-        must re-bootstrap from a snapshot instead.
-        """
-        return [
-            (record.seq, record.kind, record.payload)
-            for record in self.journal.records(after_seq=seq)
-        ]
 
     # -- checkpointing --------------------------------------------------
 
@@ -405,7 +403,7 @@ class PersistenceManager:
         that predecessor needs).  Raises
         :class:`~repro.persist.snapshot.SnapshotError` when no snapshot
         is usable and :class:`~repro.persist.journal.JournalError` when
-        the journal itself is damaged or replay diverges.
+        the journal itself is damaged or holds an unknown record kind.
         """
         from repro.core.system import ClueSystem
 
@@ -468,40 +466,11 @@ class PersistenceManager:
 
     @staticmethod
     def _replay(system, journal: Journal, after_seq: int) -> int:
-        """Re-execute the journal suffix; returns executed record count.
-
-        ``flush-auto`` markers are skipped (the flushes they mark recur
-        inside the replayed operations) but their counts verify that the
-        replay reproduced the original TCAM flush batching exactly.
-        """
+        """Re-execute the journal suffix; returns executed record count."""
         replayed = 0
-        expected_flushed = system.scheduler.stats.flushed_diffs
         for record in journal.records(after_seq=after_seq):
-            kind, payload = record.kind, record.payload
-            if kind == "apply":
-                system.apply_update(codec.decode_message(payload))
-            elif kind == "offer":
-                system.offer_update(codec.decode_message(payload))
-            elif kind == "pump":
-                system.pump_updates(int(payload))
-            elif kind == "drain":
-                system.drain_updates()
-            elif kind == "flush":
-                system.scheduler.flush()
-            elif kind == "flush-auto":
-                expected_flushed += int(payload)
-                continue
-            elif kind == "checkpoint":
-                continue
-            else:
-                raise JournalError(
-                    f"record {record.seq}: unknown kind {kind!r}"
-                )
-            replayed += 1
-        actual_flushed = system.scheduler.stats.flushed_diffs
-        if actual_flushed != expected_flushed:
-            raise JournalError(
-                f"replay diverged from the journal: {actual_flushed} "
-                f"TCAM diffs flushed vs {expected_flushed} journaled"
-            )
+            try:
+                replayed += apply_record(system, record.kind, record.payload)
+            except JournalError as exc:
+                raise JournalError(f"record {record.seq}: {exc}") from exc
         return replayed

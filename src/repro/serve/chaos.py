@@ -540,13 +540,16 @@ def _reissue_split(cluster: Cluster, admin: ServeClient) -> None:
 
 
 def shard_load_rows(rows: Sequence[Dict]) -> List[Dict[str, object]]:
-    """Prune full shard reports down to the per-range load view."""
+    """Prune full shard reports down to the per-range load view and the
+    live DRed audit."""
     return [
         {
             "shard": row.get("shard", index),
             "range": row.get("range"),
             "lookup_hits": row.get("lookup_hits", 0),
             "update_hits": row.get("update_hits", 0),
+            "dred_entries": row.get("dred_entries", 0),
+            "dred_violations": row.get("dred_violations", {}),
         }
         for index, row in enumerate(rows)
     ]

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro.persist import codec
-from repro.persist.manager import PersistenceManager
+from repro.persist.journal import JournalError
+from repro.persist.manager import PersistenceManager, apply_record
 from repro.serve import protocol
 from repro.serve.protocol import ProtocolError, ReplicateAck
 from repro.serve.router import ShardRouter
@@ -550,7 +550,10 @@ class BackupReplica:
                     f"shard {shard}: journal gap "
                     f"({self.applied_seqs[shard]} -> {seq})"
                 )
-            self._apply_one(manager, kind, payload)
+            try:
+                apply_record(manager, kind, payload)
+            except JournalError as exc:
+                raise ReplicationError(f"shard {shard}: {exc}") from exc
             self.applied_seqs[shard] = seq
             self.records_applied += 1
         shipped_fp = data.get("fingerprint")
@@ -567,25 +570,6 @@ class BackupReplica:
         # quorum ack claims the update survives the loss of either side.
         manager.sync()
         return ReplicateAck(shard, self.applied_seqs[shard])
-
-    @staticmethod
-    def _apply_one(manager: PersistenceManager, kind: str, payload: str) -> None:
-        if kind == "offer":
-            manager.offer_update(codec.decode_message(payload))
-        elif kind == "pump":
-            manager.pump_updates(int(payload))
-        elif kind == "apply":
-            manager.apply_update(codec.decode_message(payload))
-        elif kind == "drain":
-            manager.drain_updates()
-        elif kind == "flush":
-            manager.flush_updates()
-        elif kind in ("flush-auto", "checkpoint"):
-            # Markers: auto-flushes recur inside the replayed pumps, and
-            # checkpoint cadence is a local policy, not shipped state.
-            pass
-        else:
-            raise ReplicationError(f"unknown journal record kind {kind!r}")
 
     # -- promotion ------------------------------------------------------
 

@@ -40,8 +40,8 @@ Crash-resume matrix (applied by :func:`resolve_reshard`, which
     rolled-back serve the old topology (a previous abort already cleaned)
     ========== =========================================================
 
-Record re-application mirrors :meth:`BackupReplica._apply_one`, with one
-twist: records are *routed*.  A source shard's record applies to the new
+Records are re-applied through :func:`repro.persist.manager.apply_record`,
+as a backup replica applies them, with one twist: records are *routed*.  A source shard's record applies to the new
 shards whose ranges overlap the source's range (intersected with the
 prefix's covering set for offer/apply records).  A merge can deliver the
 same boundary-spanning offer twice — once from each source journal —
@@ -64,7 +64,8 @@ from repro.compress.onrtc import compress
 from repro.partition.even import even_partition
 from repro.partition.index_logic import RangeIndex
 from repro.persist import codec
-from repro.persist.manager import PersistenceManager
+from repro.persist.journal import JournalError
+from repro.persist.manager import PersistenceManager, apply_record
 from repro.serve.router import ShardRouter
 from repro.serve.shard import ShardSet, ShardWorker
 from repro.trie.trie import BinaryTrie
@@ -531,36 +532,20 @@ class ReshardCoordinator:
 
     def _apply_record(self, source: int, kind: str, payload: str) -> None:
         assert self.new_set is not None
-        if kind in ("flush-auto", "checkpoint"):
-            return  # markers recur inside the re-applied pumps/flushes
         targets = self._targets[source]
-        workers = self.new_set.workers
         if kind in ("offer", "apply"):
-            message = codec.decode_message(payload)
-            covering = set(self.new_set.router.shards_covering(message.prefix))
+            prefix = codec.decode_message(payload).prefix
+            covering = self.new_set.router.shards_covering(prefix)
             if len(targets) > 1:
                 self.progress.duplicates_possible = True
-            for j in targets:
-                if j not in covering:
-                    continue
-                manager = workers[j].manager
-                assert manager is not None
-                if kind == "offer":
-                    manager.offer_update(message)
-                else:
-                    manager.apply_update(message)
-            return
+            targets = [j for j in targets if j in covering]
         for j in targets:
-            manager = workers[j].manager
+            manager = self.new_set.workers[j].manager
             assert manager is not None
-            if kind == "pump":
-                manager.pump_updates(int(payload))
-            elif kind == "drain":
-                manager.drain_updates()
-            elif kind == "flush":
-                manager.flush_updates()
-            else:
-                raise ReshardError(f"unknown journal record kind {kind!r}")
+            try:
+                apply_record(manager, kind, payload)
+            except JournalError as exc:
+                raise ReshardError(f"source shard {source}: {exc}") from exc
 
     def cutover(self) -> ShardSet:
         """Commit the migration; returns the new shard set to install.

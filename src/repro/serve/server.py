@@ -25,8 +25,8 @@ Graceful drain (SIGTERM or an admin DRAIN request):
 2. answer BUSY to newly arriving data-plane requests, finish everything
    already admitted to a window, and read each connection to EOF (a
    grace period bounds how long a silent client can hold the process);
-3. flush every shard — queued updates, deferred storm diffs, a final
-   checkpoint, journal close — and ship the trailing records to the
+3. flush every shard — queued updates, a final checkpoint, journal
+   close — and ship the trailing records to the
    backup, so a planned drain hands over a fully caught-up replica;
 4. exit 0.
 
@@ -72,7 +72,7 @@ class ServeConfig:
     #: Seconds drain waits for clients to close before force-closing.
     drain_grace: float = 5.0
     #: Scheduler pump budget per update batch (None = the batch size);
-    #: small budgets let the queue back up, holding storm mode open.
+    #: small budgets let the queue back up until offers are shed.
     pump_budget: Optional[int] = None
     #: File to write the bound port to (ephemeral-port discovery).
     port_file: Optional[str] = None

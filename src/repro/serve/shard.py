@@ -99,7 +99,7 @@ class ShardWorker:
         returning, so the resulting ack may be forwarded to the client
         as-is.  The pump budget defaults to the batch size; a smaller
         budget (``--pump-budget``) lets the queue back up — that is how
-        the crash drill holds the scheduler in storm mode.
+        the overload crash drill gets offers shed.
         """
         messages = list(messages)
         self.update_hits += len(messages)
@@ -122,15 +122,32 @@ class ShardWorker:
         return str(self.manager.checkpoint())
 
     def report_dict(self) -> Dict[str, object]:
+        """The shard's STATS row, with its live DRed judged.
+
+        ``dred_violations`` maps each failed DRed check (``dred-exclusion``,
+        ``dred-fresh``) to its first witness.  Only the live process can
+        say: a restore starts with cold DReds.
+        """
+        from repro.persist.audit import InvariantAuditor
+
         report = self.system.report().as_dict()
         report["shard"] = self.index
         report["durable"] = self.durable
         report["lookup_hits"] = self.lookup_hits
         report["update_hits"] = self.update_hits
+        report["dred_entries"] = sum(
+            len(chip.dred)
+            for chip in self.system.engine.chips
+            if chip.dred is not None
+        )
+        violations: Dict[str, str] = {}
+        for violation in InvariantAuditor(self.system).check_dred().violations:
+            violations.setdefault(violation.check, violation.detail)
+        report["dred_violations"] = violations
         return report
 
     def flush(self) -> int:
-        """Drain queued updates and deferred diffs, *keep serving*.
+        """Apply every queued update, *keep serving*.
 
         The quiesce point the campaign oracles need: after a flush the
         engine state is a pure function of the acked update stream (no
@@ -145,8 +162,8 @@ class ShardWorker:
         return self.system.drain_updates()
 
     def drain(self) -> int:
-        """Flush everything queued or deferred; durable shards also
-        checkpoint and close (part of graceful shutdown)."""
+        """Apply everything queued; durable shards also checkpoint and
+        close (part of graceful shutdown)."""
         if self.manager is not None:
             applied = self.manager.drain_updates()
             self.manager.checkpoint()
@@ -505,5 +522,5 @@ class ShardSet:
         return sum(worker.flush() for worker in self.workers)
 
     def drain(self) -> int:
-        """Flush every shard (queued updates, deferred diffs, journals)."""
+        """Drain every shard (queued updates, journals)."""
         return sum(worker.drain() for worker in self.workers)

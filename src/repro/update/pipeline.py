@@ -132,71 +132,34 @@ class SchedulerStats:
     applied: int = 0
     pump_calls: int = 0
     shed: int = 0
-    deferred: int = 0
-    flushed_diffs: int = 0
-    storm_entries: int = 0
-    storm_exits: int = 0
-
-    @property
-    def pending_flush(self) -> int:
-        """Deferred diffs not yet written to the TCAM mirror."""
-        return self.deferred - self.flushed_diffs
 
 
 class UpdateScheduler:
-    """Bounded admission and storm-mode batching for a CLUE pipeline.
+    """Bounded admission in front of a CLUE pipeline.
 
-    A BGP storm must not stall lookups: TCAM writes occupy the chips'
-    access ports, so blindly applying a 35K-msg/s burst turns the line card
-    into an update processor.  The scheduler keeps a bounded
-    :class:`~repro.engine.queues.UpdateQueue` in front of the pipeline and
-    switches discipline by occupancy:
+    A BGP storm must not stall lookups, so updates wait in a bounded
+    :class:`~repro.engine.queues.UpdateQueue` and the caller decides how
+    many to apply per :meth:`pump`.  Every pumped update runs the full
+    three-stage pipeline: the disjoint table makes each TCAM update at
+    most one shift, so there is nothing to gain from postponing it.
+    Offers to a full queue are *shed* and counted — the caller sees
+    ``False`` and is expected to rely on BGP re-advertisement, never on
+    the queue blocking the data plane.
 
-    * **calm** (below ``high_watermark``) — every pumped update runs the
-      full three-stage pipeline, TCAM writes included;
-    * **storm** (at/above ``high_watermark``) — pumped updates run the trie
-      stage (so the control plane stays fresh) and the DRed invalidation
-      (so no stale cached answer survives), but the TCAM *mirror* writes
-      are deferred as batched diffs — the lazy discipline — and flushed
-      once occupancy falls to ``low_watermark`` (or on :meth:`flush`).
-
-    ``on_diff`` is invoked with every update's entry diff the moment the
-    trie stage produces it; the integrated system uses it to keep the live
-    chips' tables correct in both modes (chip-table writes model the SRAM
-    shadow, not the slow TCAM port).  Offers to a full queue are *shed* and
-    counted — the caller sees ``False`` and is expected to rely on BGP
-    re-advertisement, never on the queue blocking the data plane.
+    ``on_diff`` is invoked with every applied update's entry diff; the
+    integrated system uses it to keep the live chips' tables in step.
     """
 
     def __init__(
         self,
         pipeline: "ClueUpdatePipeline",
         capacity: int = 256,
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.25,
         on_diff: Optional[Callable[[TableDiff], None]] = None,
     ) -> None:
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError("high watermark must be in (0, 1]")
-        if not 0.0 <= low_watermark < high_watermark:
-            raise ValueError("low watermark must be below the high one")
         self.pipeline = pipeline
         self.queue: UpdateQueue[UpdateMessage] = UpdateQueue(capacity)
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.on_diff = on_diff
-        #: Called with the batch size after every non-empty flush — the
-        #: persistence layer journals these boundaries so a replay can
-        #: verify it reproduced the same batching.
-        self.on_flush: Optional[Callable[[int], None]] = None
-        self.storm_mode = False
         self.stats = SchedulerStats()
-        # Deferred diffs carry the admission order they were produced in;
-        # flush() asserts it is preserved (TCAM writes must not reorder).
-        self._deferred_diffs: List[Tuple[int, TableDiff]] = []
-        self._defer_seq = 0
-
-    # ------------------------------------------------------------------
 
     def offer(self, message: UpdateMessage) -> bool:
         """Admit one update; ``False`` means the queue shed it."""
@@ -204,7 +167,6 @@ class UpdateScheduler:
         accepted = self.queue.offer(message)
         if not accepted:
             self.stats.shed += 1
-        self._update_mode()
         return accepted
 
     def pump(self, budget: int = 8) -> int:
@@ -216,93 +178,19 @@ class UpdateScheduler:
         self.stats.pump_calls += 1
         applied = 0
         while applied < budget and not self.queue.is_empty:
-            message = self.queue.pop()
-            if self.storm_mode:
-                self._apply_deferred(message)
-            else:
-                self.pipeline.apply(message)
-                self._notify(self.pipeline.last_diff)
+            self.pipeline.apply(self.queue.pop())
+            if self.on_diff is not None:
+                self.on_diff(self.pipeline.last_diff)
             applied += 1
-            self.stats.applied += 1
-            self._update_mode()
+        self.stats.applied += applied
         return applied
 
     def drain(self) -> int:
-        """Pump until the queue is empty, then flush; returns total applied."""
+        """Pump until the queue is empty; returns total applied."""
         applied = 0
         while not self.queue.is_empty:
             applied += self.pump(budget=len(self.queue))
-        self.flush()
         return applied
-
-    def flush(self) -> int:
-        """Write every deferred diff to the TCAM mirror; returns the count.
-
-        After a flush ``pipeline.tcam_matches_table()`` holds again — the
-        lazy discipline trades a bounded staleness window of the *mirror*
-        (never of the lookup path) for storm survival.  Diffs are applied
-        strictly in the order their updates were admitted (asserted): the
-        ONRTC diffs are not commutative, so reordering could leave the
-        mirror diverged from the table.
-        """
-        flushed = 0
-        previous_seq = 0
-        for seq, diff in self._deferred_diffs:
-            assert seq > previous_seq, (
-                "deferred TCAM diffs must be flushed in offer order "
-                f"(saw seq {seq} after {previous_seq})"
-            )
-            previous_seq = seq
-            self.pipeline.tcam_stage.apply_diff(diff)
-            flushed += 1
-        self._deferred_diffs.clear()
-        self.stats.flushed_diffs += flushed
-        if flushed and self.on_flush is not None:
-            self.on_flush(flushed)
-        return flushed
-
-    # -- persistence hooks -------------------------------------------------
-
-    def pending_diffs(self) -> List[Tuple[int, TableDiff]]:
-        """A copy of the deferred (seq, diff) batch, oldest first."""
-        return list(self._deferred_diffs)
-
-    def restore_deferred(
-        self, diffs: Sequence[Tuple[int, TableDiff]], next_seq: int
-    ) -> None:
-        """Reload a deferred batch captured by :meth:`pending_diffs`."""
-        self._deferred_diffs = list(diffs)
-        self._defer_seq = next_seq
-
-    # ------------------------------------------------------------------
-
-    def _apply_deferred(self, message: UpdateMessage) -> None:
-        """Storm discipline: trie + DRed now, TCAM write later."""
-        outcome = self.pipeline.trie_stage.apply(message)
-        assert outcome.diff is not None
-        self.pipeline.last_diff = outcome.diff
-        self.pipeline.dred_stage.apply(message, outcome.diff)
-        self._defer_seq += 1
-        self._deferred_diffs.append((self._defer_seq, outcome.diff))
-        self.stats.deferred += 1
-        self.queue.deferred += 1
-        self.pipeline.totals.updates += 1
-        self.pipeline.totals.trie_nodes += outcome.nodes_touched
-        self._notify(outcome.diff)
-
-    def _notify(self, diff: Optional[TableDiff]) -> None:
-        if diff is not None and self.on_diff is not None:
-            self.on_diff(diff)
-
-    def _update_mode(self) -> None:
-        occupancy = self.queue.occupancy
-        if not self.storm_mode and occupancy >= self.high_watermark:
-            self.storm_mode = True
-            self.stats.storm_entries += 1
-        elif self.storm_mode and occupancy <= self.low_watermark:
-            self.storm_mode = False
-            self.stats.storm_exits += 1
-            self.flush()
 
 
 class ClplUpdatePipeline:

@@ -14,7 +14,7 @@ figures:
   diversion does all the work;
 * ``storm`` — update-dominated: bursty announce/withdraw churn (every
   burst ~30x the mean rate) against mildly skewed traffic, the regime
-  where the bounded queue's shed/defer/flush backpressure engages;
+  where the bounded queue's shed backpressure engages;
 * ``uniform`` — no skew, no locality: the worst case for any cache, the
   regime where raw per-chip lookup throughput is all that matters.
 

@@ -167,6 +167,36 @@ def test_engine_oracles_skip_for_subprocess_cells():
         assert _verdict(verdicts, name).status == SKIP
 
 
+def test_live_shard_dred_violations_fail_the_dred_oracles():
+    """A restored copy starts with cold DReds, so the live shards' own
+    DRed audits (their STATS rows) decide dred-exclusion and the DRed
+    half of state-audit."""
+    from repro.core import ClueSystem, SystemConfig
+    from repro.engine.simulator import EngineConfig
+
+    system = ClueSystem(
+        ROUTES, SystemConfig(engine=EngineConfig(lookup_backend="fast"))
+    )
+    clean = {"shard": 0, "dred_entries": 5, "dred_violations": {}}
+    verdicts = judge(_evidence(systems=[system], shard_loads=[clean]))
+    for name in ("dred-exclusion", "state-audit"):
+        assert _verdict(verdicts, name).status == PASS
+
+    stale = {
+        "shard": 1,
+        "dred_entries": 3,
+        "dred_violations": {
+            "dred-exclusion": "a DRed bank caches a prefix its own chip serves",
+            "dred-fresh": "DRed 0 entry 10.0.0.0/8: caches hop 3, ...",
+        },
+    }
+    verdicts = judge(_evidence(systems=[system], shard_loads=[clean, stale]))
+    for name in ("dred-exclusion", "state-audit"):
+        verdict = _verdict(verdicts, name)
+        assert verdict.status == FAIL
+        assert "live shard 1" in verdict.detail
+
+
 def test_prechecked_verdicts_override_oracles():
     injected = OracleVerdict("chip-audit", FAIL, "established mid-flight")
     verdicts = judge(_evidence(prechecked={"chip-audit": injected}))

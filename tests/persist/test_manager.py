@@ -171,17 +171,6 @@ class TestRestore:
         with pytest.raises(SnapshotError, match="no usable snapshot"):
             PersistenceManager.restore(tmp_path)
 
-    def test_replay_divergence_detected(self, tmp_path):
-        manager = PersistenceManager(make_system(), tmp_path)
-        drive(manager, TRACE[:30])
-        manager.crash()
-        # Forge a flush marker the replayed operations cannot reproduce.
-        journal = Journal(tmp_path / "journal")
-        journal.append("flush-auto", "5")
-        journal.close()
-        with pytest.raises(JournalError, match="diverged"):
-            PersistenceManager.restore(tmp_path)
-
     def test_unknown_record_kind_raises(self, tmp_path):
         manager = PersistenceManager(make_system(), tmp_path)
         manager.apply_update(TRACE[0])
@@ -195,8 +184,8 @@ class TestRestore:
 
 class TestStormCrash:
     def test_mid_storm_crash_recovers_exactly(self, tmp_path):
-        # A tiny queue forces storm mode (deferred TCAM writes), so the
-        # snapshot/journal must capture the mirror's staleness exactly.
+        # A tiny queue overflows during the storm: the snapshot and the
+        # journal must capture a full queue and replay its sheds exactly.
         trace = UpdateGenerator(list(ROUTES), seed=31).take(300)
 
         def run(target, start=0):
@@ -208,7 +197,7 @@ class TestStormCrash:
 
         reference = make_system(queue_capacity=16)
         run(reference)
-        assert reference.scheduler.stats.deferred > 0  # storms happened
+        assert reference.scheduler.stats.shed > 0  # overload happened
 
         system = make_system(queue_capacity=16)
         manager = PersistenceManager(system, tmp_path, checkpoint_every=35)
@@ -216,7 +205,8 @@ class TestStormCrash:
             manager.offer_update(trace[index])
             if index % 7 == 0:
                 manager.pump_updates(2)
-        assert system.scheduler.storm_mode or system.scheduler.stats.deferred
+        assert system.scheduler.stats.shed > 0
+        assert len(system.scheduler.queue) >= 12  # 75% of the queue
         manager.crash(power_loss=True)
 
         restored, report = PersistenceManager.restore(tmp_path)

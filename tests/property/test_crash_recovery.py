@@ -23,8 +23,8 @@ PUMP_EVERY = 3
 
 
 def make_system():
-    # Small queue: storms (deferred TCAM writes) happen inside the trace,
-    # so crash points land in every scheduler regime.
+    # Small queue: the trace overloads it (offers are shed), so crash
+    # points land both before and after the queue fills.
     return ClueSystem(
         ROUTES,
         SystemConfig(
@@ -68,6 +68,7 @@ def test_crash_restore_replay_equals_uninterrupted(
 
     reference = make_system()
     run_slice(reference, trace, 0, TRACE_LEN)
+    assert reference.scheduler.stats.shed > 0
     finish(reference)
 
     directory = tmp_path_factory.mktemp("state")

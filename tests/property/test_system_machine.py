@@ -1,10 +1,12 @@
 """Stateful property test over the whole integrated ClueSystem.
 
-Hypothesis interleaves routing updates and traffic bursts against a live
-system and checks the global consistency invariants after every step: the
-three table copies (control trie → compressed table → TCAM mirror → chip
-tables) never diverge, and the data path answers every completed lookup
-exactly like the control plane.
+Hypothesis interleaves routing updates — applied directly, or offered in
+bursts that overload the bounded update queue and pumped a few at a time —
+and traffic bursts against a live system, and checks the global
+consistency invariants after every step: the three table copies (control
+trie → compressed table → TCAM mirror → chip tables) never diverge, and
+the data path answers every completed lookup exactly like the control
+plane.
 """
 
 from hypothesis import settings
@@ -27,6 +29,10 @@ prefix_strategy = st.integers(4, 24).flatmap(
 )
 
 
+#: Update queue depth; a burst offers more than 75% of it.
+QUEUE = 16
+
+
 class ClueSystemMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -38,6 +44,7 @@ class ClueSystemMachine(RuleBasedStateMachine):
                     chip_count=2, queue_capacity=16, dred_capacity=64
                 ),
                 partitions_per_chip=2,
+                update_queue_capacity=QUEUE,
             ),
         )
         self.traffic = TrafficGenerator(self.routes, seed=56)
@@ -56,6 +63,24 @@ class ClueSystemMachine(RuleBasedStateMachine):
         self.system.apply_update(
             UpdateMessage(UpdateKind.WITHDRAW, prefix, None, self.clock)
         )
+
+    @rule(
+        burst=st.lists(
+            st.tuples(prefix_strategy, st.none() | st.integers(0, 7)),
+            min_size=QUEUE * 3 // 4 + 1,
+            max_size=QUEUE + 8,
+        ),
+        budget=st.integers(1, 3),
+    )
+    def queued_burst(self, burst, budget):
+        for prefix, hop in burst:
+            self.clock += 0.001
+            kind = UpdateKind.WITHDRAW if hop is None else UpdateKind.ANNOUNCE
+            self.system.offer_update(
+                UpdateMessage(kind, prefix, hop, self.clock)
+            )
+        queued = len(self.system.scheduler.queue)
+        assert self.system.pump_updates(budget) == min(budget, queued)
 
     @rule()
     def traffic_burst(self):

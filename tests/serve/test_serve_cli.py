@@ -138,8 +138,9 @@ class TestCrashDrill:
         """kill -9 during an update storm loses nothing acked.
 
         A small pump budget plus a small scheduler queue keep the
-        server in storm mode (sheds, deferred diffs) while batches are
-        acked; the journal must replay to the exact same state.
+        server's update queue overloaded (sheds, a backed-up queue) while
+        batches are acked; the journal must replay to the exact same
+        state.
         """
         state = tmp_path / "state"
         serve_args = (

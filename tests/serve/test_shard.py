@@ -39,6 +39,25 @@ class TestLookups:
         assert shards.lookup(list(reversed(addresses))) == forward[::-1]
 
 
+class TestStatsRows:
+    def test_row_reports_a_stale_live_dred_entry(self, serve_rib, fast_config):
+        shards = ShardSet.build(serve_rib, shard_count=1, config=fast_config)
+        shards.lookup(TrafficGenerator(serve_rib, seed=13).take(2_048))
+        [row] = shards.stats()
+        assert row["dred_entries"] > 0
+        assert row["dred_violations"] == {}
+
+        # Leave a wrong hop behind in chip 0's DRed, as a partial TTF3
+        # invalidation would: a prefix chip 1 holds, cached stale.
+        system = shards.workers[0].system
+        chips = system.engine.chips
+        prefix, hop = next(iter(chips[1].table.routes()))
+        chips[0].dred.insert(prefix, hop + 1, owner=1)
+        [row] = shards.stats()
+        assert set(row["dred_violations"]) == {"dred-fresh"}
+        assert str(prefix) in row["dred_violations"]["dred-fresh"]
+
+
 class TestUpdates:
     def test_announce_then_withdraw_visible_in_lookups(
         self, serve_rib, fast_config
@@ -99,9 +118,9 @@ class TestDurability:
     ):
         """Journal-before-apply: a hard crash loses nothing acked.
 
-        Small pump budget + small queue hold the scheduler in storm mode
-        so the drill exercises sheds and deferred diffs, not just the
-        happy path.
+        Small pump budget + small queue overload the scheduler, so the
+        drill exercises sheds and a backed-up queue, not just the happy
+        path.
         """
         from dataclasses import replace
 

@@ -90,8 +90,12 @@ class TestShardRowAggregation:
 
         pruned = shard_load_rows(rows)
         assert {key for row in pruned for key in row} == {
-            "shard", "range", "lookup_hits", "update_hits"
+            "shard", "range", "lookup_hits", "update_hits",
+            "dred_entries", "dred_violations",
         }
+        # Each live shard judged its own warm DRed, and found it clean.
+        assert sum(row["dred_entries"] for row in pruned) > 0
+        assert all(row["dred_violations"] == {} for row in pruned)
 
     def test_reshard_policy_identical_over_shipped_counters(
         self, serve_rib, fast_config

@@ -61,18 +61,8 @@ class TestSchedulerCalm:
         for message in structural_updates(routes, 10):
             assert scheduler.offer(message)
         assert scheduler.pump(budget=10) == 10
-        assert not scheduler.storm_mode
-        assert scheduler.stats.deferred == 0
+        assert scheduler.stats.applied == 10
         assert pipeline.tcam_matches_table()
-
-    def test_watermark_validation(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        with pytest.raises(ValueError):
-            UpdateScheduler(pipeline, high_watermark=0.0)
-        with pytest.raises(ValueError):
-            UpdateScheduler(
-                pipeline, high_watermark=0.5, low_watermark=0.5
-            )
 
     def test_on_diff_callback(self, routes):
         pipeline = ClueUpdatePipeline(routes)
@@ -87,44 +77,35 @@ class TestSchedulerCalm:
 
 
 class TestSchedulerStorm:
-    def test_flood_enters_storm_and_defers(self, routes):
+    def test_flood_sheds_and_applies_every_pumped_update(self, routes):
         pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=8, high_watermark=0.5, low_watermark=0.25
-        )
+        scheduler = UpdateScheduler(pipeline, capacity=8)
         messages = structural_updates(routes, 12)
         accepted = sum(scheduler.offer(message) for message in messages)
         assert accepted == 8
         assert scheduler.stats.shed == 4
-        assert scheduler.storm_mode
-        # Pump a little while still above the low watermark: trie stage
-        # runs, TCAM writes are deferred, the mirror goes stale.
+        # A full queue changes nothing about how a pumped update runs:
+        # trie, TCAM mirror and DRed all take it at once.
         scheduler.pump(budget=2)
-        assert scheduler.stats.deferred == 2
-        assert not pipeline.tcam_matches_table()
-        # The control plane itself is fresh (trie took the updates).
         assert pipeline.totals.updates == 2
-
-    def test_exit_flushes_automatically(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=8, high_watermark=0.5, low_watermark=0.25
-        )
-        for message in structural_updates(routes, 8):
-            scheduler.offer(message)
-        assert scheduler.storm_mode
-        scheduler.pump(budget=8)
-        # Occupancy fell to zero → storm exited → deferred batch flushed.
-        assert not scheduler.storm_mode
-        assert scheduler.stats.storm_exits == 1
-        assert scheduler.stats.pending_flush == 0
         assert pipeline.tcam_matches_table()
+
+    def test_mirror_matches_table_after_every_pump_under_overload(
+        self, routes
+    ):
+        pipeline = ClueUpdatePipeline(routes)
+        scheduler = UpdateScheduler(pipeline, capacity=8)
+        messages = iter(structural_updates(routes, 60))
+        for _round in range(10):
+            for message in [next(messages) for _ in range(6)]:
+                scheduler.offer(message)
+            scheduler.pump(budget=2)
+            assert pipeline.tcam_matches_table()
+        assert scheduler.stats.shed > 0
 
     def test_drain_restores_mirror(self, routes):
         pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=16, high_watermark=0.25, low_watermark=0.0
-        )
+        scheduler = UpdateScheduler(pipeline, capacity=16)
         for message in structural_updates(routes, 16):
             scheduler.offer(message)
         applied = scheduler.drain()
@@ -132,66 +113,8 @@ class TestSchedulerStorm:
         assert scheduler.queue.is_empty
         assert pipeline.tcam_matches_table()
 
-    def test_flush_applies_in_offer_order(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=16, high_watermark=0.25, low_watermark=0.0
-        )
-        for message in structural_updates(routes, 12):
-            scheduler.offer(message)
-        # Keep occupancy above the low watermark so the batch stays pending.
-        scheduler.pump(budget=8)
-        pending = scheduler.pending_diffs()
-        assert pending, "storm should have deferred diffs"
-        sequences = [seq for seq, _diff in pending]
-        assert sequences == sorted(sequences)  # admission order, tagged
-        assert scheduler.flush() == len(pending)
-        assert scheduler.pending_diffs() == []
-        assert pipeline.tcam_matches_table()
-
-    def test_reordered_deferred_batch_is_rejected(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=16, high_watermark=0.25, low_watermark=0.0
-        )
-        for message in structural_updates(routes, 8):
-            scheduler.offer(message)
-        scheduler.pump(budget=6)
-        pending = scheduler.pending_diffs()
-        assert len(pending) >= 2
-        scheduler.restore_deferred(list(reversed(pending)), len(pending))
-        with pytest.raises(AssertionError, match="offer order"):
-            scheduler.flush()
-
-    def test_on_flush_reports_batch_size(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=8, high_watermark=0.5, low_watermark=0.25
-        )
-        batches = []
-        scheduler.on_flush = batches.append
-        for message in structural_updates(routes, 8):
-            scheduler.offer(message)
-        scheduler.pump(budget=8)  # storm exit flushes automatically
-        assert batches == [scheduler.stats.flushed_diffs]
-        scheduler.flush()  # empty flush must not fire the hook
-        assert len(batches) == 1
-
-    def test_pending_diffs_round_trip(self, routes):
-        pipeline = ClueUpdatePipeline(routes)
-        scheduler = UpdateScheduler(
-            pipeline, capacity=16, high_watermark=0.25, low_watermark=0.0
-        )
-        for message in structural_updates(routes, 6):
-            scheduler.offer(message)
-        scheduler.pump(budget=4)
-        saved = scheduler.pending_diffs()
-        scheduler.restore_deferred(saved, next_seq=len(saved))
-        assert scheduler.pending_diffs() == saved
-        assert scheduler.flush() == len(saved)
-
     def test_dred_invalidation_not_deferred(self, routes):
-        """Storm mode must still purge stale DRed entries immediately."""
+        """A full queue must not delay purging stale DRed entries."""
         from repro.engine.dred import DredCache
         from repro.workload.updategen import UpdateMessage
 
@@ -214,11 +137,9 @@ class TestSchedulerStorm:
         pipeline.dred_stage.caches = [bank]
         bank.insert(victim, 1, owner=1)
         assert victim in bank
-        scheduler = UpdateScheduler(
-            pipeline, capacity=4, high_watermark=0.25, low_watermark=0.0
-        )
+        scheduler = UpdateScheduler(pipeline, capacity=1)
         scheduler.offer(message)
-        assert scheduler.storm_mode
+        assert scheduler.queue.is_full
         scheduler.pump(budget=1)
-        assert scheduler.stats.deferred == 1
+        assert scheduler.stats.applied == 1
         assert victim not in bank
